@@ -305,6 +305,3 @@ class Store:
                 return i
         return None
 
-
-class PreemptionError(SimulationError):
-    """Raised when preemptive resources would be required (unsupported)."""

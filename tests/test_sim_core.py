@@ -339,6 +339,75 @@ def test_peek_reports_next_event_time():
     assert env2.peek() == float("inf")
 
 
+def test_peek_skips_cancelled_head():
+    """A cancelled event at the head of the queue is not the next
+    *scheduled* event; peek reports the live one behind it."""
+    env = Environment()
+    a = env.timeout(5)
+    env.timeout(7)
+    env.cancel(a)
+    assert env.peek() == 7.0
+    assert env._cancelled == 0   # the popped head is no longer counted
+    env.run()
+    assert env.now == 7.0
+
+
+def test_cancel_heavy_timeouts_stay_compacted():
+    """The serve pattern — most deadline timers are cancelled by
+    completion — must not accumulate tombstones in the queue."""
+    env = Environment()
+    fired = []
+
+    def main():
+        survivor = env.timeout(500.0, value="survivor")
+        doomed = [env.timeout(100.0 + i * 1e-4) for i in range(5000)]
+        for t in doomed:
+            env.cancel(t)
+        # Lazy delete compacts once tombstones outnumber live
+        # entries: the 5000 cancelled timers must not linger.
+        assert len(env._queue) < 100
+        fired.append((yield survivor))
+
+    env.run(until=env.process(main()))
+    assert fired == ["survivor"]
+    assert env.now == 500.0
+
+
+def test_cancelled_timeout_never_fires():
+    env = Environment()
+    fired = []
+
+    def waiter(ev):
+        fired.append((yield ev))
+
+    def main():
+        doomed = env.timeout(1.0, value="doomed")
+        env.process(waiter(doomed))
+        yield env.timeout(0.5)   # the waiter is subscribed by now
+        env.cancel(doomed)
+        fired.append((yield env.timeout(2.0, value="kept")))
+        env.cancel(doomed)       # double-cancel is a no-op
+
+    env.run(until=env.process(main()))
+    assert fired == ["kept"]
+
+
+def test_far_future_and_past_events_fire_in_order():
+    """Events spanning nine orders of magnitude keep global order."""
+    env = Environment()
+    fired = []
+
+    def waiter(tag, ev):
+        yield ev
+        fired.append((tag, env.now))
+
+    env.process(waiter("near", env.timeout(0.001)))
+    env.process(waiter("far", env.timeout(1e6)))
+    env.process(waiter("mid", env.timeout(42.0)))
+    env.run()
+    assert fired == [("near", 0.001), ("mid", 42.0), ("far", 1e6)]
+
+
 def test_is_alive_lifecycle():
     env = Environment()
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.errors import SimulationError
+from repro.sim import (CANCELLED, Environment, PriorityResource, Resource,
+                       Store)
 
 
 def test_resource_capacity_validation():
@@ -273,3 +275,30 @@ def test_store_multiple_consumers_each_get_one():
     env.process(producer())
     env.run()
     assert sorted(got) == [("c1", "i1"), ("c2", "i2")]
+
+
+def test_cancel_heavy_store_gets_stay_compacted():
+    """Store-side lazy delete: cancelled getters are tombstoned in
+    O(1) and compacted away, and a cancelled get never steals."""
+    env = Environment()
+    store = Store(env)
+    gets = [store.get() for _ in range(4000)]
+    for g in gets[1:]:
+        store.cancel(g)
+    assert len(store._getters) < 100
+    received = []
+
+    def main():
+        yield store.put("item")
+        received.append(gets[0].value)
+
+    env.run(until=env.process(main()))
+    assert received == ["item"]
+    assert all(g.value is CANCELLED for g in gets[1:])
+
+
+def test_store_cancel_rejects_foreign_events():
+    env = Environment()
+    store = Store(env)
+    with pytest.raises(SimulationError):
+        store.cancel(env.event())
