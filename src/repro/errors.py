@@ -67,12 +67,6 @@ class DeviceClosed(NCAPIError):
     status = "MVNC_INVALID_HANDLE"
 
 
-class NoData(NCAPIError):
-    """``get_result`` called with no inference in flight."""
-
-    status = "MVNC_NO_DATA"
-
-
 class DeviceLost(NCAPIError):
     """The device died mid-run (hot-unplug, firmware crash)."""
 
@@ -113,3 +107,8 @@ class ObservabilityError(ReproError):
 
 class FlowError(ReproError):
     """Workflow compilation or execution errors (repro.flow)."""
+
+
+class ConfigError(ReproError):
+    """Bad command-line input the CLI rejects before a run starts
+    (malformed backend tokens, empty lists, out-of-range flags)."""

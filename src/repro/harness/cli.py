@@ -16,17 +16,30 @@ a Chrome/Perfetto ``trace_event`` file (open at
 https://ui.perfetto.dev) and prints the per-device utilisation
 report; ``profile-run`` does one instrumented run and reports even
 without ``--trace``.
+
+Every device configuration is named with one backend grammar
+(:func:`parse_backends`).  Exit status: 0 on success, 1 when the run
+failed, lost work or failed its gate, 2 on bad input — reported as
+one ``repro <command>: <ErrorType>: <message>`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
+from repro.errors import ConfigError, ObservabilityError, ReproError
 from repro.harness import figures
 from repro.harness.ascii_plot import bar_chart, line_chart
+from repro.harness.experiment import (
+    paper_timing_graph,
+    paper_timing_network,
+    parallel_map,
+)
 from repro.harness.tables import render_comparison, render_figure_table
+from repro.ncsw import IntelCPU, IntelVPU, NCSw, NvGPU, SyntheticSource
 
 _FIGURES: dict[str, tuple[str, Callable]] = {
     "fig6a": ("throughput per subset (batch 8)",
@@ -51,6 +64,133 @@ _FIGURES: dict[str, tuple[str, Callable]] = {
 }
 
 
+# -- backend grammar ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BackendSpec:
+    """One parsed backend token.
+
+    ``front`` is ``cpu``, ``gpu`` or ``vpu``; ``back`` is set only for
+    a split placement; ``sticks`` is the VPU stick count (None for a
+    host-only device).
+    """
+
+    token: str
+    front: str
+    back: Optional[str] = None
+    sticks: Optional[int] = None
+
+    @property
+    def is_vpu(self) -> bool:
+        """A plain multi-stick VPU target (the fault-plan carrier)."""
+        return self.front == "vpu" and self.back is None
+
+
+def parse_backends(spec: str, flag: str = "--backends"
+                   ) -> list[BackendSpec]:
+    """Parse a comma list of backend tokens.
+
+    Tokens: ``cpu``, ``gpu``, ``vpuN`` (N sticks, 1-8), or a split
+    placement ``<front>+<back>`` with exactly one VPU side
+    (``vpu4+cpu``, ``cpu+vpu2``) — the latency-optimal cut of the
+    paper network pipelined across the two tiers.  Raises
+    :class:`ConfigError` naming *flag* on a malformed token.
+    """
+    def side(part: str, token: str) -> tuple[str, Optional[int]]:
+        if part in ("cpu", "gpu"):
+            return part, None
+        if part.startswith("vpu") and part[3:].isdecimal():
+            sticks = int(part[3:])
+            if not 1 <= sticks <= 8:
+                raise ConfigError(
+                    f"{flag}: {token!r} needs 1-8 VPU sticks")
+            return "vpu", sticks
+        raise ConfigError(
+            f"{flag}: unknown token {token!r} "
+            "(expected cpu, gpu, vpuN or front+back)")
+
+    specs = []
+    for token in (t.strip() for t in spec.split(",")):
+        if not token:
+            continue
+        parts = token.split("+")
+        if len(parts) == 1:
+            front, sticks = side(token, token)
+            specs.append(BackendSpec(token, front, sticks=sticks))
+            continue
+        if len(parts) != 2:
+            raise ConfigError(
+                f"{flag}: split token {token!r} must be <front>+<back>")
+        (front, n_front), (back, n_back) = (side(parts[0], token),
+                                            side(parts[1], token))
+        if (front == "vpu") == (back == "vpu"):
+            raise ConfigError(
+                f"{flag}: split token {token!r} needs exactly one vpu "
+                "side and one of cpu/gpu (e.g. vpu4+cpu, cpu+vpu2)")
+        specs.append(BackendSpec(token, front, back, n_front or n_back))
+    if not specs:
+        raise ConfigError(f"{flag}: no backends given")
+    return specs
+
+
+def _build_target(spec: BackendSpec, *, fault_plan=None,
+                  call_timeout=None):
+    """A fresh timing-only target on the paper-scale GoogLeNet.
+
+    A fault plan / call timeout applies to plain VPU targets only.
+    """
+    if spec.back is not None:
+        from repro.split import build_split_target
+
+        return build_split_target(
+            paper_timing_network(), graph=paper_timing_graph(),
+            front=spec.front, back=spec.back, num_sticks=spec.sticks,
+            functional=False)
+    if spec.is_vpu:
+        return IntelVPU(graph=paper_timing_graph(),
+                        num_devices=spec.sticks, functional=False,
+                        fault_plan=fault_plan, call_timeout=call_timeout)
+    host = IntelCPU if spec.front == "cpu" else NvGPU
+    return host(paper_timing_network(), functional=False)
+
+
+def _closed_loop_rate(spec: BackendSpec) -> tuple[float, int]:
+    """Closed-loop throughput of one fresh target (a short batch
+    campaign) and the batch size it ran at — the capacity unit that
+    brackets the sweeps and sizes the autoscale day."""
+    target = _build_target(spec)
+    fw = NCSw()
+    fw.add_source("synthetic", SyntheticSource(64))
+    fw.add_target(spec.token, target)
+    batch = max(1, target.preferred_batch_size)
+    rate = fw.run("synthetic", spec.token, batch_size=batch).throughput()
+    return rate, batch
+
+
+# -- shared checks and plumbing ---------------------------------------------
+
+def _check_kill_at(value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"--kill-at must be in [0, 1], got {value}")
+
+
+def _check_index(flag: str, value: int, count: int) -> None:
+    """Fail before the baseline run, not after it has printed."""
+    if not 0 <= value < count:
+        raise ConfigError(
+            f"{flag} must be in [0, {count - 1}], got {value}")
+
+
+def _parse_list(flag: str, text: str, cast: Callable) -> list:
+    try:
+        values = [cast(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag}: bad list {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag}: no values given")
+    return values
+
+
 def _obs_from_args(args: argparse.Namespace):
     """An ObsSession when --trace or --metrics was given, else None."""
     trace = getattr(args, "trace", None)
@@ -60,23 +200,21 @@ def _obs_from_args(args: argparse.Namespace):
     if trace is not None:
         _check_trace_path(trace)
     if metrics is not None:
-        _check_trace_path(metrics)
+        _check_trace_path(metrics, "--metrics")
     from repro.obs import ObsSession
 
     return ObsSession()
 
 
-def _check_trace_path(trace: str) -> None:
+def _check_trace_path(trace: str, flag: str = "--trace") -> None:
     """Fail before the run, not after: the trace file is written last,
     and a bad path would discard minutes of simulation."""
     from pathlib import Path
 
-    from repro.errors import ObservabilityError
-
     parent = Path(trace).resolve().parent
     if not parent.is_dir():
         raise ObservabilityError(
-            f"--trace: directory {parent} does not exist")
+            f"{flag}: directory {parent} does not exist")
 
 
 def _finish_trace(args: argparse.Namespace, obs) -> None:
@@ -99,19 +237,48 @@ def _finish_trace(args: argparse.Namespace, obs) -> None:
               f"`python -m repro trace-analyze {path}`)")
 
 
-def _serve_trace_extras(obs) -> None:
-    """Per-request waterfall of the first completed sampled trace."""
+def _print_report(args: argparse.Namespace, obs, result, render,
+                  workload, *, alerts: bool = True) -> None:
+    """Print a serving report, then the observability tail: SLO alerts
+    inside the report, the first sampled request's waterfall, the
+    utilisation report and the trace/metrics files."""
+    kwargs = {}
+    if obs is not None and alerts:
+        from repro.obs import default_policy, serve_alerts
+
+        kwargs = {"alerts": serve_alerts(result, session=obs),
+                  "policy": default_policy(result.wall_seconds)}
+    print(render(result, workload=workload.describe(), **kwargs))
     if obs is None:
         return
+    print()
     from repro.obs import render_waterfall
 
     done = [t for t in obs.reqtrace.traces() if t.completed]
     if done:
         print(render_waterfall(obs.reqtrace, done[0].trace_id))
         print()
+    _finish_trace(args, obs)
+
+
+def _serving_kwargs(args: argparse.Namespace) -> dict:
+    """Constructor arguments every serving tier shares, from the
+    serving parent's flags (milliseconds become seconds)."""
+    return {
+        "queue_depth": args.queue_depth,
+        "admission": args.admission,
+        "max_wait_s": args.max_wait / 1000.0,
+        "slo_seconds": args.slo / 1000.0,
+        "deadline_seconds": (args.deadline / 1000.0
+                             if args.deadline is not None else None),
+        "warmup": args.warmup,
+    }
+
 
 _BAR_FIGURES = {"fig6a", "fig7a"}
 
+
+# -- paper artefacts ------------------------------------------------------------
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("available experiments:")
@@ -152,35 +319,49 @@ def _render(name: str, result) -> None:
     print()
 
 
-def _cmd_figure(name: str, args: argparse.Namespace) -> int:
+def _save_figure_json(args: argparse.Namespace, name: str, result):
+    """Write *result* under ``--json-dir``; returns the path or None."""
+    if not getattr(args, "json_dir", None):
+        return None
+    from pathlib import Path
+
+    from repro.harness.export import save_figure_json
+
+    out = Path(args.json_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_figure_json(result, out / f"{name}.json")
+    return out / f"{name}.json"
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    name = args.command
     obs = _obs_from_args(args)
     result = _FIGURES[name][1](args, obs)
     _render(name, result)
     _finish_trace(args, obs)
-    if getattr(args, "json_dir", None):
-        from pathlib import Path
-
-        from repro.harness.export import save_figure_json
-
-        out = Path(args.json_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_figure_json(result, out / f"{name}.json")
-        print(f"saved {out / (name + '.json')}")
+    path = _save_figure_json(args, name, result)
+    if path is not None:
+        print(f"saved {path}")
     return 0
 
 
-def _cmd_headline(args: argparse.Namespace) -> int:
+def _print_headline(args: argparse.Namespace, obs):
+    """Print the paper-vs-measured headline table; returns its rows."""
     scale = None if args.scale in (None, "none") else args.scale
-    obs = _obs_from_args(args)
     rows = figures.headline_table(images=args.images, error_scale=scale,
                                   obs=obs, jobs=args.jobs)
     print(render_comparison(rows, title="headline: paper vs measured"))
+    return rows
+
+
+def _cmd_headline(args: argparse.Namespace) -> int:
+    obs = _obs_from_args(args)
+    _print_headline(args, obs)
     _finish_trace(args, obs)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    md_sections: list[str] = []
     results = {}
     obs = _obs_from_args(args)
     skip_functional = args.scale in (None, "none")
@@ -190,20 +371,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("=" * 72)
         results[name] = _FIGURES[name][1](args, obs)
         _render(name, results[name])
-        if getattr(args, "json_dir", None):
-            from pathlib import Path
-
-            from repro.harness.export import save_figure_json
-
-            out = Path(args.json_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_figure_json(results[name], out / f"{name}.json")
+        _save_figure_json(args, name, results[name])
     print("=" * 72)
-    scale = None if args.scale in (None, "none") else args.scale
-    rows = figures.headline_table(images=args.images,
-                                  error_scale=scale, obs=obs,
-                                  jobs=args.jobs)
-    print(render_comparison(rows, title="headline: paper vs measured"))
+    rows = _print_headline(args, obs)
     _finish_trace(args, obs)
 
     if getattr(args, "markdown", None):
@@ -273,8 +443,10 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_point(point: tuple[int, int, int, float, object]):
-    """Worker for one chaos-run victim: a fresh fault-tolerant run.
+# -- chaos ----------------------------------------------------------------------
+
+def _chaos_point(point: tuple[int, int, int, float, object], obs=None):
+    """One chaos-run run: a fresh (fault-tolerant, given a plan) rig.
 
     Each plan gets its own framework and simulation environment, so
     the runs are independent and the seeded plans make them
@@ -282,10 +454,7 @@ def _chaos_point(point: tuple[int, int, int, float, object]):
     :class:`RunResult` values as the serial sweep.
     """
     images, devices, batch, timeout, plan = point
-    from repro.harness.figures import paper_timing_graph
-    from repro.ncsw import IntelVPU, NCSw, SyntheticSource
-
-    fw = NCSw()
+    fw = NCSw(obs=obs)
     fw.add_source("synthetic", SyntheticSource(images))
     fw.add_target("vpu", IntelVPU(
         graph=paper_timing_graph(), num_devices=devices,
@@ -304,24 +473,15 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     ``--jobs N`` fans the per-victim runs across processes (tracing
     keeps the sweep serial).
     """
-    from repro.harness.figures import paper_timing_graph
-    from repro.ncsw import FaultPlan, IntelVPU, NCSw, SyntheticSource
+    from repro.ncsw import FaultPlan
     from repro.ncsw.faults import BUSY
 
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
-    graph = paper_timing_graph()
-
-    def make_run(plan=None, timeout=None, obs=None):
-        fw = NCSw(obs=obs)
-        fw.add_source("synthetic", SyntheticSource(args.images))
-        fw.add_target("vpu", IntelVPU(
-            graph=graph, num_devices=args.devices, functional=False,
-            fault_plan=plan, call_timeout=timeout))
-        return fw.run("synthetic", "vpu", batch_size=args.batch)
-
-    base = make_run()
+    _check_kill_at(args.kill_at)
+    if args.kill_stick is not None:
+        _check_index("--kill-stick", args.kill_stick, args.devices)
+    obs = _obs_from_args(args)
+    rig = (args.images, args.devices, args.batch)
+    base = _chaos_point(rig + (None, None))
     t_start = min(r.t_submit for r in base.records)
     kill_time = t_start + args.kill_at * base.wall_seconds
     max_latency = max(r.latency for r in base.records)
@@ -354,16 +514,11 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                       duration=(busy_duration if args.kind == BUSY
                                 else 0.0)))
                  for victim in victims]
-    obs = _obs_from_args(args)
-    if args.jobs > 1 and obs is None:
-        from repro.harness.experiment import parallel_map
-
-        points = [(args.images, args.devices, args.batch, timeout,
-                   plan) for _, plan in plans]
+    points = [rig + (timeout, plan) for _, plan in plans]
+    if obs is None:
         runs = parallel_map(_chaos_point, points, jobs=args.jobs)
     else:
-        runs = [make_run(plan=plan, timeout=timeout, obs=obs)
-                for _, plan in plans]
+        runs = [_chaos_point(point, obs) for point in points]
     failed = False
     for (label, plan), res in zip(plans, runs):
         ok = res.images == args.images - res.abandoned
@@ -392,85 +547,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_split_token(token: str):
-    """Parse a split token like ``vpu4+cpu`` into (front, back, sticks).
-
-    Exactly one side must be the VPU; the other a host tier.  Returns
-    None (after printing the error) on a malformed token.
-    """
-    def side(part: str):
-        if part in ("cpu", "gpu"):
-            return part, None
-        if part == "vpu":
-            return "vpu", 1
-        if part.startswith("vpu") and part[3:].isdigit():
-            return "vpu", int(part[3:])
-        return None, None
-
-    parts = token.split("+")
-    if len(parts) != 2:
-        print(f"split spec {token!r} must be <front>+<back>")
-        return None
-    (front, n_front), (back, n_back) = side(parts[0]), side(parts[1])
-    if front is None or back is None or \
-            (front == "vpu") == (back == "vpu"):
-        print(f"split spec {token!r} needs exactly one vpu side and "
-              "one of cpu/gpu (e.g. vpu4+cpu, cpu+vpu2)")
-        return None
-    return front, back, (n_front if n_front is not None else n_back)
-
-
-def _serve_targets(spec: str, *, fault_plan=None, call_timeout=None):
-    """Build named targets from a spec like ``vpu8`` or ``vpu4,cpu``.
-
-    Tokens: ``cpu``, ``gpu``, ``vpuN`` (N sticks, 1-8), or a split
-    placement ``<front>+<back>`` with exactly one VPU side
-    (``vpu4+cpu``, ``cpu+vpu2``) — the latency-optimal cut of the
-    paper network pipelined across the two tiers.  All targets run
-    timing-only (non-functional) on the paper-scale GoogLeNet.
-    A fault plan / call timeout applies to every VPU token.
-    """
-    from repro.harness.experiment import (
-        paper_timing_graph,
-        paper_timing_network,
-    )
-    from repro.ncsw import IntelCPU, IntelVPU, NvGPU
-
-    targets = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "cpu":
-            targets[token] = IntelCPU(paper_timing_network(),
-                                      functional=False)
-        elif token == "gpu":
-            targets[token] = NvGPU(paper_timing_network(),
-                                   functional=False)
-        elif "+" in token:
-            from repro.split import build_split_target
-            parsed = _parse_split_token(token)
-            if parsed is None:
-                return None
-            front, back, sticks = parsed
-            targets[token] = build_split_target(
-                paper_timing_network(), graph=paper_timing_graph(),
-                front=front, back=back, num_sticks=sticks,
-                functional=False)
-        elif token.startswith("vpu") and token[3:].isdigit():
-            targets[token] = IntelVPU(
-                graph=paper_timing_graph(),
-                num_devices=int(token[3:]), functional=False,
-                fault_plan=fault_plan, call_timeout=call_timeout)
-        else:
-            print(f"--backends: unknown token {token!r} "
-                  "(expected cpu, gpu, vpuN or front+back)")
-            return None
-    if not targets:
-        print("--backends: no targets given")
-        return None
-    return targets
-
+# -- single-server serving ------------------------------------------------------
 
 def _cmd_split_sweep(args: argparse.Namespace) -> int:
     """Map the split-placement design space of one device pairing."""
@@ -480,29 +557,28 @@ def _cmd_split_sweep(args: argparse.Namespace) -> int:
         single_device_points,
     )
 
-    parsed = _parse_split_token(args.devices)
-    if parsed is None:
-        return 1
-    front, back, sticks = parsed
+    specs = parse_backends(args.devices, "--devices")
+    if len(specs) != 1 or specs[0].back is None:
+        raise ConfigError(
+            f"--devices: expected one <front>+<back> placement, got "
+            f"{args.devices!r}")
+    spec = specs[0]
     if args.smoke:
         from repro.nn.zoo import get_model
         from repro.vpu.compiler.compile import compile_graph
         network = get_model("googlenet-micro")
         graph = compile_graph(network)
     else:
-        from repro.harness.experiment import (
-            paper_timing_graph,
-            paper_timing_network,
-        )
         network = paper_timing_network()
         graph = paper_timing_graph()
-    planner = SplitPlanner(network, graph=graph, front=front,
-                           back=back, num_sticks=sticks)
+    planner = SplitPlanner(network, graph=graph, front=spec.front,
+                           back=spec.back, num_sticks=spec.sticks)
     plans = planner.sweep()
     if not plans:
         print(f"split-sweep: {network.name} has no valid cuts")
         return 1
-    singles = single_device_points(network, graph, num_sticks=sticks)
+    singles = single_device_points(network, graph,
+                                   num_sticks=spec.sticks)
     print(render_split_table(plans, singles,
                              objective=args.objective), end="")
     return 0
@@ -529,27 +605,21 @@ def _serve_workload(args: argparse.Namespace):
                                period_s=args.period, seed=args.seed)
     # replay
     if args.replay is None:
-        print("--workload replay needs --replay PATH")
-        return None
+        raise ConfigError("--workload replay needs --replay PATH")
     return TraceWorkload.from_file(args.replay)
 
 
-def _serve_server(args: argparse.Namespace, targets, obs=None):
+def _serve_server(args: argparse.Namespace, specs, *, fault_plan=None,
+                  call_timeout=None, obs=None):
+    """An InferenceServer with one fresh target per backend token."""
     from repro.serve import InferenceServer
 
-    server = InferenceServer(
-        queue_depth=args.queue_depth,
-        admission=args.admission,
-        max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait / 1000.0,
-        policy=args.route,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
-        obs=obs)
-    for name, target in targets.items():
-        server.add_target(name, target)
+    server = InferenceServer(max_batch_size=args.max_batch,
+                             policy=args.route, obs=obs,
+                             **_serving_kwargs(args))
+    for spec in specs:
+        server.add_target(spec.token, _build_target(
+            spec, fault_plan=fault_plan, call_timeout=call_timeout))
     return server
 
 
@@ -563,23 +633,24 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     """
     from repro.serve import render_slo_report
 
+    # One target per distinct token: a repeated token names the same
+    # backend.
+    specs = list({s.token: s
+                  for s in parse_backends(args.backends)}.values())
     workload = _serve_workload(args)
-    if workload is None:
-        return 2
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
+    _check_kill_at(args.kill_at)
+    obs = _obs_from_args(args)
 
     fault_plan = None
     call_timeout = None
     if args.kill_stick is not None:
         from repro.ncsw import FaultPlan
 
-        targets = _serve_targets(args.backends)
-        if targets is None:
-            return 2
-        base = _serve_server(args, targets).run(workload,
-                                               args.requests)
+        for spec in specs:
+            if spec.is_vpu:
+                _check_index("--kill-stick", args.kill_stick,
+                             spec.sticks)
+        base = _serve_server(args, specs).run(workload, args.requests)
         kill_time = (base.prepare_seconds
                      + args.kill_at * base.wall_seconds)
         fault_plan = FaultPlan.kill(args.kill_stick, kill_time,
@@ -591,62 +662,44 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
               f"(serving start + {args.kill_at:.0%} of wall)")
         print()
 
-    targets = _serve_targets(args.backends, fault_plan=fault_plan,
-                             call_timeout=call_timeout)
-    if targets is None:
-        return 2
-    obs = _obs_from_args(args)
-    result = _serve_server(args, targets, obs=obs).run(workload,
-                                                       args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
-    print(render_slo_report(result, workload=workload.describe(),
-                            alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+    result = _serve_server(args, specs, fault_plan=fault_plan,
+                           call_timeout=call_timeout,
+                           obs=obs).run(workload, args.requests)
+    _print_report(args, obs, result, render_slo_report, workload)
     return 0 if result.completed > 0 else 1
 
 
-def _sweep_point(args: argparse.Namespace, token: str):
+def _sweep_point(args: argparse.Namespace, spec: BackendSpec):
     """Worker for one serve-sweep configuration.
 
     Estimates the closed-loop capacity, then bisects the maximum
     sustainable arrival rate.  Every probe builds a fresh server and
     reseeds the workload, so configurations are independent of each
     other and the sweep fans across processes without changing any
-    probe's outcome.  Returns ``(capacity, SweepResult)`` or ``None``
-    for an invalid token.
+    probe's outcome.  Returns ``(capacity, SweepResult)``.
     """
-    from repro.ncsw import NCSw, SyntheticSource
     from repro.serve import PoissonWorkload, find_max_rate
 
-    targets = _serve_targets(token)
-    if targets is None:
-        return None
-    # Closed-loop capacity estimate: a short batch campaign.
-    target = next(iter(targets.values()))
-    fw = NCSw()
-    fw.add_source("synthetic", SyntheticSource(64))
-    fw.add_target(token, target)
-    batch = max(1, target.preferred_batch_size)
-    capacity = fw.run("synthetic", token,
-                      batch_size=batch).throughput()
+    capacity, _ = _closed_loop_rate(spec)
 
-    def run_at(rate: float, token=token):
-        srv = _serve_server(args, _serve_targets(token))
-        return srv.run(PoissonWorkload(rate=rate, seed=args.seed),
-                       args.requests)
+    def run_at(rate: float):
+        return _serve_server(args, [spec]).run(
+            PoissonWorkload(rate=rate, seed=args.seed), args.requests)
 
     sweep = find_max_rate(run_at, slo_seconds=args.slo / 1000.0,
                           hi=2.0 * capacity, steps=args.steps,
-                          label=token)
+                          label=spec.token)
     return capacity, sweep
+
+
+def _print_sweeps(outcomes) -> None:
+    from repro.serve import render_sweep_table
+
+    for capacity, sweep in outcomes:
+        print(f"{sweep.summary()} "
+              f"(closed-loop capacity {capacity:.1f} img/s)")
+    print()
+    print(render_sweep_table([sweep for _, sweep in outcomes]))
 
 
 def _cmd_serve_sweep(args: argparse.Namespace) -> int:
@@ -661,42 +714,20 @@ def _cmd_serve_sweep(args: argparse.Namespace) -> int:
     """
     from functools import partial
 
-    from repro.harness.experiment import parallel_map
-    from repro.serve import render_sweep_table
-
-    tokens = [t.strip() for t in args.configs.split(",") if t.strip()]
-    if not tokens:
-        print("--configs: no configurations given")
-        return 2
-    outcomes = parallel_map(partial(_sweep_point, args), tokens,
-                            jobs=args.jobs)
-    if any(o is None for o in outcomes):
-        return 2
-    results = []
-    for capacity, sweep in outcomes:
-        print(f"{sweep.summary()} "
-              f"(closed-loop capacity {capacity:.1f} img/s)")
-        results.append(sweep)
-    print()
-    print(render_sweep_table(results))
+    specs = parse_backends(args.configs, "--configs")
+    _print_sweeps(parallel_map(partial(_sweep_point, args), specs,
+                               jobs=args.jobs))
     return 0
 
+
+# -- workflows ------------------------------------------------------------------
 
 def _flow_coordinator(args: argparse.Namespace, wf, obs=None):
     """A FlowCoordinator wired from the workflow-* CLI flags."""
     from repro.flow import FlowCoordinator
 
-    return FlowCoordinator(
-        wf,
-        seed=args.seed,
-        queue_depth=args.queue_depth,
-        admission=args.admission,
-        max_wait_s=args.max_wait / 1000.0,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
-        obs=obs)
+    return FlowCoordinator(wf, seed=args.seed, obs=obs,
+                           **_serving_kwargs(args))
 
 
 def _cmd_workflow_run(args: argparse.Namespace) -> int:
@@ -707,7 +738,6 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
     and the workflow-level SLO roll-up.  Exits non-zero when nothing
     completes.
     """
-    from repro.errors import FlowError
     from repro.flow import build_workflow, render_workflow_report
     from repro.serve import PoissonWorkload
 
@@ -719,24 +749,15 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
     kwargs = {"vpu_devices": args.devices}
     if args.workflow == "cascade" and args.stage_slo is not None:
         kwargs["stage_slo_seconds"] = args.stage_slo / 1000.0
-    try:
-        wf = build_workflow(args.workflow, args.scale, **kwargs)
-    except FlowError as exc:
-        print(f"workflow-run: {exc}")
-        return 2
-    print(wf.describe())
-    print()
-
+    wf = build_workflow(args.workflow, args.scale, **kwargs)
     obs = _obs_from_args(args)
     workload = PoissonWorkload(rate=args.rate, seed=args.seed)
     result = _flow_coordinator(args, wf, obs=obs).run(
         workload, args.requests)
-    print(render_workflow_report(result,
-                                 workload=workload.describe()))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+    print(wf.describe())
+    print()
+    _print_report(args, obs, result, render_workflow_report, workload,
+                  alerts=False)
     return 0 if result.completed > 0 else 1
 
 
@@ -758,14 +779,7 @@ def _cmd_workflow_sweep(args: argparse.Namespace) -> int:
         args.devices = min(args.devices, 2)
     if args.rates is None:
         args.rates = "20,40,80"
-    try:
-        rates = [float(t) for t in args.rates.split(",") if t.strip()]
-    except ValueError:
-        print(f"--rates: bad rate list {args.rates!r}")
-        return 2
-    if not rates:
-        print("--rates: no rates given")
-        return 2
+    rates = _parse_list("--rates", args.rates, float)
 
     print(f"== cascade vs monolithic (scale {args.scale}, "
           f"{args.requests} workflows per point, SLO "
@@ -799,69 +813,30 @@ def _cmd_workflow_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_targets(hosts: int, spec: str):
-    """One fresh target per host from a spec like ``vpu2`` or
-    ``vpu4,cpu``.
+# -- clusters -------------------------------------------------------------------
 
-    Tokens cycle across the hosts, so ``--hosts 4 --host-backends
-    vpu2,cpu`` alternates VPU and CPU hosts.  Every host gets its own
-    target instance — cluster hosts share nothing but the simulated
-    interconnect.
+def _cluster_server(args: argparse.Namespace, hosts: int, specs, *,
+                    host_faults=None, autoscaler=None, obs=None):
+    """A ClusterServer over *hosts* fresh targets.
+
+    Backend tokens cycle across the hosts, so ``--hosts 4
+    --host-backends vpu2,cpu`` alternates VPU and CPU hosts.  Every
+    host gets its own target instance — cluster hosts share nothing
+    but the simulated interconnect.
     """
-    from repro.harness.experiment import (
-        paper_timing_graph,
-        paper_timing_network,
-    )
-    from repro.ncsw import IntelCPU, IntelVPU, NvGPU
-
-    if hosts < 1:
-        print(f"--hosts: need at least 1 host, got {hosts}")
-        return None
-    tokens = [t.strip() for t in spec.split(",") if t.strip()]
-    if not tokens:
-        print("--host-backends: no tokens given")
-        return None
-    targets = []
-    for i in range(hosts):
-        token = tokens[i % len(tokens)]
-        if token == "cpu":
-            targets.append(IntelCPU(paper_timing_network(),
-                                    functional=False))
-        elif token == "gpu":
-            targets.append(NvGPU(paper_timing_network(),
-                                 functional=False))
-        elif token.startswith("vpu") and token[3:].isdigit():
-            targets.append(IntelVPU(
-                graph=paper_timing_graph(),
-                num_devices=int(token[3:]), functional=False))
-        else:
-            print(f"--host-backends: unknown token {token!r} "
-                  "(expected cpu, gpu or vpuN)")
-            return None
-    return targets
-
-
-def _cluster_server(args: argparse.Namespace, targets, *,
-                    host_faults=None, autoscaler=None,
-                    initial_hosts=None, obs=None):
     from repro.cluster import ClusterServer
 
+    targets = [_build_target(specs[i % len(specs)])
+               for i in range(hosts)]
     return ClusterServer(
         targets,
         window=args.window,
         spill_threshold=args.spill_threshold,
-        queue_depth=args.queue_depth,
-        admission=args.admission,
         max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait / 1000.0,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
         host_faults=host_faults,
         autoscaler=autoscaler,
-        initial_hosts=initial_hosts,
-        obs=obs)
+        obs=obs,
+        **_serving_kwargs(args))
 
 
 def _cmd_cluster_run(args: argparse.Namespace) -> int:
@@ -877,25 +852,19 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     from repro.cluster import render_cluster_report
     from repro.serve import PoissonWorkload
 
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
-    if (args.kill_host is not None
-            and not 0 <= args.kill_host < args.hosts):
-        print(f"--kill-host must be in [0, {args.hosts - 1}], "
-              f"got {args.kill_host}")
-        return 2
+    specs = parse_backends(args.host_backends, "--host-backends")
+    _check_kill_at(args.kill_at)
+    if args.kill_host is not None:
+        _check_index("--kill-host", args.kill_host, args.hosts)
     workload = PoissonWorkload(rate=args.rate, seed=args.seed)
+    obs = _obs_from_args(args)
 
     host_faults = None
     if args.kill_host is not None:
         from repro.ncsw import FaultPlan
 
-        targets = _cluster_targets(args.hosts, args.host_backends)
-        if targets is None:
-            return 2
-        base = _cluster_server(args, targets).run(workload,
-                                                  args.requests)
+        base = _cluster_server(args, args.hosts, specs).run(
+            workload, args.requests)
         kill_time = (base.prepare_seconds
                      + args.kill_at * base.wall_seconds)
         host_faults = FaultPlan.kill(args.kill_host, kill_time)
@@ -905,29 +874,14 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
               f"(serving start + {args.kill_at:.0%} of wall)")
         print()
 
-    targets = _cluster_targets(args.hosts, args.host_backends)
-    if targets is None:
-        return 2
-    obs = _obs_from_args(args)
-    result = _cluster_server(args, targets, host_faults=host_faults,
+    result = _cluster_server(args, args.hosts, specs,
+                             host_faults=host_faults,
                              obs=obs).run(workload, args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
-    print(render_cluster_report(result,
-                                workload=workload.describe(),
-                                alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+    _print_report(args, obs, result, render_cluster_report, workload)
     return 0 if result.completed > 0 else 1
 
 
-def _cluster_sweep_point(args: argparse.Namespace, hosts: int):
+def _cluster_sweep_point(args: argparse.Namespace, specs, hosts: int):
     """Worker for one cluster-sweep host count.
 
     The bracket is twice the summed closed-loop capacity of the host
@@ -935,35 +889,21 @@ def _cluster_sweep_point(args: argparse.Namespace, hosts: int):
     builds a fresh cluster and reseeds the workload, mirroring
     ``serve-sweep``'s independence contract, so host counts fan
     across processes without changing any probe's outcome.  Returns
-    ``(capacity, SweepResult)`` or ``None`` for an invalid spec.
+    ``(capacity, SweepResult)``.
     """
-    from repro.ncsw import NCSw, SyntheticSource
     from repro.serve import PoissonWorkload, find_max_rate
 
-    tokens = [t.strip() for t in args.host_backends.split(",")
-              if t.strip()]
-    capacity = 0.0
     per_token: dict[str, float] = {}
+    capacity = 0.0
     for i in range(hosts):
-        token = tokens[i % len(tokens)] if tokens else ""
-        if token not in per_token:
-            single = _cluster_targets(1, token)
-            if single is None:
-                return None
-            target = single[0]
-            fw = NCSw()
-            fw.add_source("synthetic", SyntheticSource(64))
-            fw.add_target(token, target)
-            batch = max(1, target.preferred_batch_size)
-            per_token[token] = fw.run(
-                "synthetic", token, batch_size=batch).throughput()
-        capacity += per_token[token]
+        spec = specs[i % len(specs)]
+        if spec.token not in per_token:
+            per_token[spec.token] = _closed_loop_rate(spec)[0]
+        capacity += per_token[spec.token]
 
-    def run_at(rate: float, hosts=hosts):
-        targets = _cluster_targets(hosts, args.host_backends)
-        srv = _cluster_server(args, targets)
-        return srv.run(PoissonWorkload(rate=rate, seed=args.seed),
-                       args.requests)
+    def run_at(rate: float):
+        return _cluster_server(args, hosts, specs).run(
+            PoissonWorkload(rate=rate, seed=args.seed), args.requests)
 
     sweep = find_max_rate(run_at, slo_seconds=args.slo / 1000.0,
                           hi=2.0 * capacity, steps=args.steps,
@@ -982,9 +922,7 @@ def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
     """
     from functools import partial
 
-    from repro.harness.experiment import parallel_map
-    from repro.serve import render_sweep_table
-
+    specs = parse_backends(args.host_backends, "--host-backends")
     if args.smoke:
         args.requests = min(args.requests, 96)
         args.steps = min(args.steps, 3)
@@ -992,70 +930,37 @@ def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
             args.hosts = "1,2"
     if args.hosts is None:
         args.hosts = "1,2,4,8"
-    try:
-        counts = [int(t) for t in args.hosts.split(",") if t.strip()]
-    except ValueError:
-        print(f"--hosts: expected a comma list of host counts, "
-              f"got {args.hosts!r}")
-        return 2
-    if not counts or any(n < 1 for n in counts):
-        print(f"--hosts: host counts must be >= 1, got {args.hosts!r}")
-        return 2
-    outcomes = parallel_map(partial(_cluster_sweep_point, args),
-                            counts, jobs=args.jobs)
-    if any(o is None for o in outcomes):
-        return 2
-    results = []
-    for capacity, sweep in outcomes:
-        print(f"{sweep.summary()} "
-              f"(closed-loop capacity {capacity:.1f} img/s)")
-        results.append(sweep)
-    print()
-    print(render_sweep_table(results))
+    counts = _parse_list("--hosts", args.hosts, int)
+    if any(n < 1 for n in counts):
+        raise ConfigError(
+            f"--hosts: host counts must be >= 1, got {args.hosts!r}")
+    _print_sweeps(parallel_map(partial(_cluster_sweep_point, args,
+                                       specs), counts, jobs=args.jobs))
     return 0
 
 
-def _host_closed_loop_rate(args: argparse.Namespace):
-    """Closed-loop throughput of one host built from the first
-    ``--host-backends`` token — the capacity unit the autoscale
-    commands size the diurnal day and the predictive policy with."""
-    from repro.ncsw import NCSw, SyntheticSource
-
-    tokens = [t.strip() for t in args.host_backends.split(",")
-              if t.strip()]
-    if not tokens:
-        print("--host-backends: no tokens given")
-        return None
-    single = _cluster_targets(1, tokens[0])
-    if single is None:
-        return None
-    target = single[0]
-    fw = NCSw()
-    fw.add_source("synthetic", SyntheticSource(64))
-    fw.add_target(tokens[0], target)
-    batch = max(1, target.preferred_batch_size)
-    rate = fw.run("synthetic", tokens[0],
-                  batch_size=batch).throughput()
-    return rate, batch
-
-
 def _autoscale_setup(args: argparse.Namespace):
-    """Shared autoscale-run/-sweep setup: the diurnal day trace plus
-    the per-host capacity estimate.  Returns ``(workload, host_rate,
+    """Shared autoscale-run/-sweep setup: the backend specs, the
+    diurnal day trace and the per-host capacity estimate of the first
+    ``--host-backends`` token.  Returns ``(specs, workload, host_rate,
     floor_s)`` — the last is the per-request service-latency floor
     (one calibration batch) the fluid model attributes to every
-    completion — or None for an invalid spec."""
+    completion."""
     from repro.serve import DiurnalWorkload
 
-    calibrated = _host_closed_loop_rate(args)
-    if calibrated is None:
-        return None
-    host_rate, batch = calibrated
+    if args.smoke:
+        args.requests = min(args.requests, 120)
+        args.pool = min(args.pool, 3)
+    if args.pool < 1:
+        raise ConfigError(f"--pool: need at least 1 slot, got "
+                          f"{args.pool}")
+    specs = parse_backends(args.host_backends, "--host-backends")
+    host_rate, batch = _closed_loop_rate(specs[0])
     peak = (args.peak_rate if args.peak_rate is not None
             else 2.5 * host_rate)
     workload = DiurnalWorkload(peak_rate=peak, period_s=args.period,
                                floor_frac=args.floor, seed=args.seed)
-    return workload, host_rate, batch / host_rate
+    return specs, workload, host_rate, batch / host_rate
 
 
 def _fluid_cluster(args: argparse.Namespace, workload,
@@ -1107,43 +1012,20 @@ def _cmd_autoscale_run(args: argparse.Namespace) -> int:
     """
     from repro.cluster import render_cluster_report
 
-    if args.smoke:
-        args.requests = min(args.requests, 120)
-        args.pool = min(args.pool, 3)
-    if args.pool < 1:
-        print(f"--pool: need at least 1 slot, got {args.pool}")
-        return 2
-    setup = _autoscale_setup(args)
-    if setup is None:
-        return 2
-    workload, host_rate, floor_s = setup
+    specs, workload, host_rate, floor_s = _autoscale_setup(args)
     if args.fluid or args.fluid_gate:
-        return _autoscale_run_fluid(args, workload, host_rate,
+        return _autoscale_run_fluid(args, specs, workload, host_rate,
                                     floor_s)
     autoscaler = _autoscaler_from_args(args, workload, host_rate,
                                        args.policy)
-    targets = _cluster_targets(args.pool, args.host_backends)
-    if targets is None:
-        return 2
     obs = _obs_from_args(args)
-    result = _cluster_server(args, targets, autoscaler=autoscaler,
+    result = _cluster_server(args, args.pool, specs,
+                             autoscaler=autoscaler,
                              obs=obs).run(workload, args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
     print(f"policy: {autoscaler.policy.describe()} "
           f"(~{host_rate:.1f} req/s/host closed loop)")
     print()
-    print(render_cluster_report(result,
-                                workload=workload.describe(),
-                                alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+    _print_report(args, obs, result, render_cluster_report, workload)
     lost = result.offered - result.completed
     if lost:
         print()
@@ -1151,7 +1033,7 @@ def _cmd_autoscale_run(args: argparse.Namespace) -> int:
     return 0 if result.completed > 0 and lost == 0 else 1
 
 
-def _autoscale_run_fluid(args: argparse.Namespace, workload,
+def _autoscale_run_fluid(args: argparse.Namespace, specs, workload,
                          host_rate: float, floor_s: float) -> int:
     """Hybrid fluid run of the elastic day (``--fluid``).
 
@@ -1172,13 +1054,10 @@ def _autoscale_run_fluid(args: argparse.Namespace, workload,
     print(f"scale events: {len(fluid.scale_events)}")
     if not args.fluid_gate:
         return 0
-    targets = _cluster_targets(args.pool, args.host_backends)
-    if targets is None:
-        return 2
     des_autoscaler = _autoscaler_from_args(args, workload, host_rate,
                                            args.policy)
     result = _cluster_server(
-        args, targets,
+        args, args.pool, specs,
         autoscaler=des_autoscaler).run(workload, args.requests)
     print(f"des:   {result.summary()}")
     print()
@@ -1197,53 +1076,34 @@ def _cmd_autoscale_sweep(args: argparse.Namespace) -> int:
     """
     from repro.cluster import cost_point, render_cost_table
 
-    if args.smoke:
-        args.requests = min(args.requests, 120)
-        args.pool = min(args.pool, 3)
-    if args.pool < 1:
-        print(f"--pool: need at least 1 slot, got {args.pool}")
-        return 2
-    setup = _autoscale_setup(args)
-    if setup is None:
-        return 2
-    workload, host_rate, floor_s = setup
+    specs, workload, host_rate, floor_s = _autoscale_setup(args)
     print(f"calibrated: ~{host_rate:.1f} req/s/host closed-loop "
           f"capacity, day peak {workload.peak_rate:.4g} req/s")
-    fluid = args.fluid
-    points = []
-    for n in range(1, args.pool + 1):
-        if fluid:
-            result = _fluid_cluster(args, workload, host_rate,
-                                    floor_s, pool=n).run(
-                                        args.requests)
-        else:
-            targets = _cluster_targets(n, args.host_backends)
-            if targets is None:
-                return 2
-            result = _cluster_server(args, targets).run(workload,
-                                                        args.requests)
-        points.append(cost_point(f"fixed-{n}", result))
-        print(f"fixed-{n}: {result.summary()}")
-    for kind in ("reactive", "predictive"):
-        autoscaler = _autoscaler_from_args(args, workload, host_rate,
-                                           kind)
-        if fluid:
+
+    def run(label: str, pool: int, autoscaler=None) -> None:
+        if args.fluid:
             result = _fluid_cluster(
-                args, workload, host_rate, floor_s, pool=args.pool,
+                args, workload, host_rate, floor_s, pool=pool,
                 autoscaler=autoscaler).run(args.requests)
         else:
-            targets = _cluster_targets(args.pool, args.host_backends)
-            if targets is None:
-                return 2
             result = _cluster_server(
-                args, targets,
+                args, pool, specs,
                 autoscaler=autoscaler).run(workload, args.requests)
-        points.append(cost_point(kind, result))
-        print(f"{kind}: {result.summary()}")
+        points.append(cost_point(label, result))
+        print(f"{label}: {result.summary()}")
+
+    points = []
+    for n in range(1, args.pool + 1):
+        run(f"fixed-{n}", n)
+    for kind in ("reactive", "predictive"):
+        run(kind, args.pool,
+            _autoscaler_from_args(args, workload, host_rate, kind))
     print()
     print(render_cost_table(points, slo_seconds=args.slo / 1000.0))
     return 0
 
+
+# -- offline analysis and perf --------------------------------------------------
 
 def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     """Offline analysis of a recorded metrics JSONL dump.
@@ -1254,7 +1114,6 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     burn-rate / anomaly alerts recomputed from the recorded events —
     no re-simulation required.
     """
-    from repro.errors import ObservabilityError
     from repro.obs import (
         burn_rate_alerts,
         dead_rank_alerts,
@@ -1267,19 +1126,16 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
         render_waterfall,
     )
 
-    try:
-        session = load_metrics_jsonl(args.path)
-    except (OSError, ObservabilityError) as exc:
-        print(f"trace-analyze: {exc}")
-        return 2
+    session = load_metrics_jsonl(args.path)
+    width = args.window / 1000.0
+    timeline = render_timeline(session, width=width)
     extent = session.tracer.extent
     traces = session.reqtrace.traces()
     print(f"trace analysis of {args.path}")
     print(f"  extent : {extent * 1000:.1f} ms simulated")
     print(f"  traces : {len(traces)} sampled requests")
     print()
-    width = args.window / 1000.0
-    print(render_timeline(session, width=width))
+    print(timeline)
     shown = 0
     for trace in traces:
         if shown >= args.waterfalls:
@@ -1340,6 +1196,78 @@ def _cmd_perf_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- parser ---------------------------------------------------------------------
+
+_ADMISSION = ["block", "shed-oldest", "reject-newest"]
+_FAULT_KINDS = ["death", "hang", "thermal", "busy"]
+
+
+def _serving_options(*, max_batch: bool = True
+                     ) -> argparse.ArgumentParser:
+    """The serving parent: queueing, batching and SLO flags.
+
+    Built fresh per subcommand — argparse parents share their action
+    objects, so one instance would let a subcommand's ``set_defaults``
+    leak into every other subcommand built from it.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--requests", type=int, default=200,
+                   help="requests per run (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="workload seed (same seed -> byte-identical run)")
+    p.add_argument("--slo", type=float, default=500.0, metavar="MS",
+                   help="p99 end-to-end latency objective in ms "
+                        "(default %(default)s)")
+    p.add_argument("--deadline", type=float, default=None, metavar="MS",
+                   help="per-request queue deadline in ms (default: "
+                        "none)")
+    p.add_argument("--queue-depth", type=int, default=64,
+                   help="admission queue bound per queue (default 64)")
+    p.add_argument("--admission", default="reject-newest",
+                   choices=_ADMISSION,
+                   help="overload policy at the admission queue")
+    if max_batch:
+        p.add_argument("--max-batch", type=int, default=None,
+                       help="batch size cap (default: backend "
+                            "preference)")
+    p.add_argument("--max-wait", type=float, default=2.0, metavar="MS",
+                   help="dynamic batcher window in ms (default 2)")
+    p.add_argument("--warmup", type=int, default=0,
+                   help="leading completions excluded from latency "
+                        "stats")
+    return p
+
+
+def _cluster_options() -> argparse.ArgumentParser:
+    """The serving parent plus the cluster fabric flags."""
+    p = argparse.ArgumentParser(add_help=False,
+                                parents=[_serving_options()])
+    p.add_argument("--host-backends", default="vpu2", metavar="SPEC",
+                   help="comma list of per-host backend tokens, cycled "
+                        "across hosts (default vpu2)")
+    p.add_argument("--window", type=int, default=8,
+                   help="per-shard stream window (default 8)")
+    p.add_argument("--spill-threshold", type=int, default=None,
+                   metavar="N",
+                   help="outstanding requests before a shard spills to "
+                        "the least-loaded host (default: window + queue "
+                        "depth)")
+    return p
+
+
+def _flow_options() -> argparse.ArgumentParser:
+    """The serving parent (no batch cap) plus the workflow flags."""
+    p = argparse.ArgumentParser(
+        add_help=False, parents=[_serving_options(max_batch=False)])
+    p.add_argument("--scale", default="micro", choices=["micro", "mini"],
+                   help="workflow model scale (default micro)")
+    p.add_argument("--devices", type=int, default=4,
+                   help="NCS sticks behind each VPU stage (default 4)")
+    p.add_argument("--smoke", action="store_true",
+                   help="CI-sized run (40 workflows, 2 sticks)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser."""
     parser = argparse.ArgumentParser(
@@ -1347,54 +1275,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    def command(name: str, func: Callable, help: str,
+                parents: Sequence[argparse.ArgumentParser] = (),
+                **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    common = argparse.ArgumentParser(add_help=False)
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", default=None, metavar="PATH",
+                       help="record a Perfetto trace_event JSON here and "
+                            "print the utilisation report")
+    obs = argparse.ArgumentParser(add_help=False, parents=[trace])
+    obs.add_argument("--metrics", default=None, metavar="PATH",
+                     help="dump the metric/trace events as JSONL for "
+                          "offline trace-analyze")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="fan independent runs across N processes "
+                           "(results identical to --jobs 1; tracing and "
+                           "jitter keep the run serial)")
+
+    command("list", _cmd_list, "list available experiments")
+
+    common = argparse.ArgumentParser(add_help=False,
+                                     parents=[trace, jobs])
     common.add_argument("--images", type=int, default=160,
                         help="timing images per measurement")
     common.add_argument("--scale", default="default",
                         help="functional scale: smoke|default|paper")
     common.add_argument("--json-dir", default=None,
                         help="also save each figure as JSON here")
-    common.add_argument("--trace", default=None, metavar="PATH",
-                        help="record a Perfetto trace_event JSON here "
-                             "and print the utilisation report")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan independent runs across N processes "
-                             "(results identical to --jobs 1; tracing "
-                             "and jitter keep the run serial)")
-
     for name, (desc, _) in _FIGURES.items():
-        sub.add_parser(name, help=desc, parents=[common])
-    sub.add_parser("headline", help="headline paper-vs-measured table",
-                   parents=[common])
-    report = sub.add_parser("report", help="regenerate everything",
-                            parents=[common])
-    sub.add_parser("audit", help="verify every quantitative claim",
-                   parents=[common])
+        command(name, _cmd_figure, desc, [common])
+    command("headline", _cmd_headline,
+            "headline paper-vs-measured table", [common])
+    report = command("report", _cmd_report, "regenerate everything",
+                     [common])
     report.add_argument("--markdown", default=None,
                         help="write the full report as markdown here")
+    command("audit", _cmd_audit, "verify every quantitative claim",
+            [common])
 
-    profile = sub.add_parser("profile",
-                             help="per-layer VPU timing report")
+    profile = command("profile", _cmd_profile,
+                      "per-layer VPU timing report")
     profile.add_argument("--model", default="googlenet-mini")
     profile.add_argument("--shaves", type=int, default=12)
     profile.add_argument("--top", type=int, default=None)
 
-    profile_run = sub.add_parser(
-        "profile-run",
-        help="one instrumented run + per-device utilisation report")
+    profile_run = command(
+        "profile-run", _cmd_profile_run,
+        "one instrumented run + per-device utilisation report", [trace])
     profile_run.add_argument(
         "--target", default="vpu8",
         choices=["cpu", "gpu", "vpu1", "vpu2", "vpu4", "vpu8"])
     profile_run.add_argument("--images", type=int, default=160)
     profile_run.add_argument("--batch", type=int, default=8)
-    profile_run.add_argument("--trace", default=None, metavar="PATH",
-                             help="also write the Perfetto trace here")
 
-    chaos = sub.add_parser(
-        "chaos-run",
-        help="seeded fault-injection sweep over the multi-VPU rig")
+    chaos = command(
+        "chaos-run", _cmd_chaos_run,
+        "seeded fault-injection sweep over the multi-VPU rig",
+        [trace, jobs])
     chaos.add_argument("--devices", type=int, default=8,
                        help="NCS sticks to drive (1-8)")
     chaos.add_argument("--images", type=int, default=160)
@@ -1406,8 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FRAC",
                        help="fault time as a fraction of the healthy "
                             "run's wall time (default 0.5)")
-    chaos.add_argument("--kind", default="death",
-                       choices=["death", "hang", "thermal", "busy"])
+    chaos.add_argument("--kind", default="death", choices=_FAULT_KINDS)
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed for --random-plans schedules")
     chaos.add_argument("--random-plans", type=int, default=0,
@@ -1417,55 +1357,24 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--timeout", type=float, default=None,
                        help="per-call NCAPI deadline in seconds "
                             "(default: 4x the healthy max latency)")
-    chaos.add_argument("--trace", default=None, metavar="PATH",
-                       help="record a Perfetto trace of the chaos "
-                            "runs here")
-    chaos.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan per-victim runs across N processes "
-                            "(results identical to --jobs 1)")
 
-    serve_common = argparse.ArgumentParser(add_help=False)
-    serve_common.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per run (default 400)")
-    serve_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    serve_common.add_argument(
-        "--slo", type=float, default=500.0, metavar="MS",
-        help="p99 end-to-end latency objective in ms (default 500; "
-             "one paper-scale inference is ~100 ms and a loaded "
-             "pipeline holds about two batches in flight)")
-    serve_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-request queue deadline in ms (default: none)")
-    serve_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="admission queue bound (default 64)")
-    serve_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
-        help="overload policy at the admission queue")
-    serve_common.add_argument(
-        "--route", default="round-robin",
-        choices=["round-robin", "least-outstanding", "latency-ewma"],
-        help="backend routing policy")
-    serve_common.add_argument(
-        "--max-batch", type=int, default=None,
-        help="batch size cap (default: backend preference)")
-    serve_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="dynamic batcher window in ms (default 2)")
-    serve_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completions excluded from latency stats")
-
-    serve_run = sub.add_parser(
-        "serve-run", parents=[serve_common],
-        help="one open-loop serving run with a full SLO report")
+    serve_run = command(
+        "serve-run", _cmd_serve_run,
+        "one open-loop serving run with a full SLO report",
+        [_serving_options(), obs])
+    serve_sweep = command(
+        "serve-sweep", _cmd_serve_sweep,
+        "bisect the max sustainable arrival rate per config",
+        [_serving_options(), jobs])
+    for p in (serve_run, serve_sweep):
+        p.add_argument(
+            "--route", default="round-robin",
+            choices=["round-robin", "least-outstanding", "latency-ewma"],
+            help="backend routing policy")
     serve_run.add_argument(
         "--backends", default="vpu8",
-        help="comma list of cpu / gpu / vpuN targets (default vpu8)")
+        help="comma list of backend tokens: cpu, gpu, vpuN or a split "
+             "placement like vpu4+cpu (default vpu8)")
     serve_run.add_argument(
         "--workload", default="poisson",
         choices=["poisson", "bursty", "diurnal", "replay"])
@@ -1489,42 +1398,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-at", type=float, default=0.5, metavar="FRAC",
         help="fault time as a fraction of the baseline's serving "
              "wall time (default 0.5)")
-    serve_run.add_argument(
-        "--kind", default="death",
-        choices=["death", "hang", "thermal", "busy"])
+    serve_run.add_argument("--kind", default="death",
+                           choices=_FAULT_KINDS)
     serve_run.add_argument(
         "--timeout", type=float, default=0.5,
         help="per-call NCAPI deadline in s for chaos runs "
              "(default 0.5)")
-    serve_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace + utilisation report "
-             "(includes per-request flow events and a waterfall)")
-    serve_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-
-    serve_sweep = sub.add_parser(
-        "serve-sweep", parents=[serve_common],
-        help="bisect the max sustainable arrival rate per config")
     serve_sweep.add_argument(
         "--configs", default="vpu1,vpu2,vpu4,vpu8",
-        help="comma list of configurations to sweep "
+        help="comma list of backend tokens, one configuration each "
              "(default vpu1,vpu2,vpu4,vpu8)")
     serve_sweep.add_argument(
         "--steps", type=int, default=8,
         help="bisection steps per configuration (default 8)")
-    serve_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan configurations across N processes "
-             "(results identical to --jobs 1)")
-    serve_sweep.set_defaults(requests=200)
 
-    split_sweep = sub.add_parser(
-        "split-sweep",
-        help="map the latency/throughput/energy frontier of every "
-             "two-tier layer cut")
+    split_sweep = command(
+        "split-sweep", _cmd_split_sweep,
+        "map the latency/throughput/energy frontier of every "
+        "two-tier layer cut")
     split_sweep.add_argument(
         "--devices", default="vpu1+cpu",
         help="placement pair <front>+<back> with exactly one vpu "
@@ -1538,50 +1429,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-sized model (googlenet-micro) instead of the "
              "paper network")
 
-    cluster_common = argparse.ArgumentParser(add_help=False)
-    cluster_common.add_argument(
-        "--host-backends", default="vpu2", metavar="SPEC",
-        help="comma list of per-host targets, cycled across hosts "
-             "(cpu / gpu / vpuN tokens; default vpu2)")
-    cluster_common.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per run (default 400)")
-    cluster_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    cluster_common.add_argument(
-        "--slo", type=float, default=500.0, metavar="MS",
-        help="p99 end-to-end latency objective in ms (default 500)")
-    cluster_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-request queue deadline in ms (default: none)")
-    cluster_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="per-host admission queue bound (default 64)")
-    cluster_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
-        help="per-host overload policy")
-    cluster_common.add_argument(
-        "--max-batch", type=int, default=None,
-        help="batch size cap (default: backend preference)")
-    cluster_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="dynamic batcher window in ms (default 2)")
-    cluster_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completions excluded from latency stats")
-    cluster_common.add_argument(
-        "--window", type=int, default=8,
-        help="per-shard stream window (default 8)")
-    cluster_common.add_argument(
-        "--spill-threshold", type=int, default=None, metavar="N",
-        help="outstanding requests before a shard spills to the "
-             "least-loaded host (default: window + queue depth)")
-
-    cluster_run = sub.add_parser(
-        "cluster-run", parents=[cluster_common],
-        help="one sharded multi-host serving run with roll-up report")
+    cluster_run = command(
+        "cluster-run", _cmd_cluster_run,
+        "one sharded multi-host serving run with roll-up report",
+        [_cluster_options(), obs], requests=300)
     cluster_run.add_argument(
         "--hosts", type=int, default=4,
         help="number of serving hosts / ranks (default 4)")
@@ -1595,18 +1446,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-at", type=float, default=0.5, metavar="FRAC",
         help="kill time as a fraction of the baseline's serving "
              "wall time (default 0.5)")
-    cluster_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace (one process group per rank) "
-             "+ utilisation report")
-    cluster_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
 
-    cluster_sweep = sub.add_parser(
-        "cluster-sweep", parents=[cluster_common],
-        help="max sustainable arrival rate per cluster size")
+    cluster_sweep = command(
+        "cluster-sweep", _cmd_cluster_sweep,
+        "max sustainable arrival rate per cluster size",
+        [_cluster_options(), jobs], requests=300)
     cluster_sweep.add_argument(
         "--hosts", default=None, metavar="LIST",
         help="comma list of host counts to sweep "
@@ -1617,135 +1461,82 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_sweep.add_argument(
         "--smoke", action="store_true",
         help="CI-sized sweep (96 requests, 3 steps, hosts 1,2)")
-    cluster_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan host counts across N processes "
-             "(results identical to --jobs 1)")
-    cluster_sweep.set_defaults(requests=200)
 
-    autoscale_common = argparse.ArgumentParser(add_help=False)
-    autoscale_common.add_argument(
+    autoscale = argparse.ArgumentParser(add_help=False)
+    autoscale.add_argument(
         "--pool", type=int, default=4, metavar="N",
         help="host slots the frontend may scale across (default 4)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--peak-rate", type=float, default=None, metavar="RPS",
         help="diurnal peak arrival rate (default: 2.5x one host's "
              "closed-loop throughput)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--period", type=float, default=2.0, metavar="S",
         help="diurnal period — one traffic day — in seconds "
              "(default 2)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--floor", type=float, default=0.1, metavar="FRAC",
         help="overnight trough as a fraction of peak (default 0.1)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--min-hosts", type=int, default=1,
         help="autoscaler floor (default 1)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--max-hosts", type=int, default=None,
         help="autoscaler ceiling (default: the pool size)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--interval", type=float, default=20.0, metavar="MS",
         help="autoscaler tick interval in ms (default 20)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--cooldown", type=float, default=50.0, metavar="MS",
         help="minimum gap between scale actions in ms (default 50)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--warm-pool", type=int, default=1, metavar="N",
         help="idle slots kept pre-initialised (default 1)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--high-water", type=float, default=4.0, metavar="N",
         help="reactive: per-host outstanding before scale-out "
              "(default 4)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--low-water", type=float, default=1.0, metavar="N",
         help="reactive: per-host outstanding after removal that "
              "permits scale-in (default 1)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--lead", type=float, default=100.0, metavar="MS",
         help="predictive: pre-warm lead time in ms (default 100)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--utilization", type=float, default=0.7, metavar="FRAC",
         help="predictive: target per-host utilisation (default 0.7)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--smoke", action="store_true",
         help="CI-sized run (120 requests, pool of 3)")
-    autoscale_common.add_argument(
+    autoscale.add_argument(
         "--fluid", action="store_true",
         help="hybrid fluid/DES model instead of per-request DES "
              "(million-user days in milliseconds; see DESIGN.md "
              "section 16 for the validity envelope)")
 
-    autoscale_run = sub.add_parser(
-        "autoscale-run", parents=[cluster_common, autoscale_common],
-        help="one elastic cluster run over a diurnal day trace")
+    autoscale_run = command(
+        "autoscale-run", _cmd_autoscale_run,
+        "one elastic cluster run over a diurnal day trace",
+        [_cluster_options(), autoscale, obs], requests=300)
     autoscale_run.add_argument(
         "--policy", default="reactive",
         choices=["reactive", "predictive"],
         help="scale policy (default reactive)")
     autoscale_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace (one process group per rank) "
-             "+ utilisation report")
-    autoscale_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-    autoscale_run.add_argument(
         "--fluid-gate", action="store_true",
         help="run BOTH the fluid model and the pure-DES cluster, "
              "print the equivalence gate, exit non-zero on "
              "disagreement")
+    command("autoscale-sweep", _cmd_autoscale_sweep,
+            "cost-vs-SLO frontier: elastic policies vs fixed-N",
+            [_cluster_options(), autoscale], requests=300)
 
-    autoscale_sweep = sub.add_parser(
-        "autoscale-sweep",
-        parents=[cluster_common, autoscale_common],
-        help="cost-vs-SLO frontier: elastic policies vs fixed-N")
-    autoscale_sweep.set_defaults(requests=300)
-
-    flow_common = argparse.ArgumentParser(add_help=False)
-    flow_common.add_argument(
-        "--scale", default="micro", choices=["micro", "mini"],
-        help="workflow model scale (default micro)")
-    flow_common.add_argument(
-        "--devices", type=int, default=4,
-        help="NCS sticks behind each VPU stage (default 4)")
-    flow_common.add_argument(
-        "--requests", type=int, default=120,
-        help="workflow requests per run (default 120)")
-    flow_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    flow_common.add_argument(
-        "--slo", type=float, default=800.0, metavar="MS",
-        help="workflow p99 end-to-end objective in ms (default 800: "
-             "a cascade holds two serving stages plus a join)")
-    flow_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-workflow deadline in ms, shared by every stage the "
-             "request touches (default: none)")
-    flow_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="per-stage admission queue bound (default 64)")
-    flow_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
-        help="per-stage overload policy")
-    flow_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="per-stage dynamic batcher window in ms (default 2)")
-    flow_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completed workflows excluded from latency "
-             "stats")
-    flow_common.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (40 workflows, 2 sticks)")
-
-    workflow_run = sub.add_parser(
-        "workflow-run", parents=[flow_common],
-        help="one multi-model workflow DAG run (cascade / ensemble / "
-             "escalate) with per-stage + workflow SLO report")
+    workflow_run = command(
+        "workflow-run", _cmd_workflow_run,
+        "one multi-model workflow DAG run (cascade / ensemble / "
+        "escalate) with per-stage + workflow SLO report",
+        [_flow_options(), obs], requests=80, slo=800.0)
     workflow_run.add_argument(
         "--workflow", default="cascade",
         choices=["cascade", "ensemble", "escalate", "monolithic"],
@@ -1757,28 +1548,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage-slo", type=float, default=None, metavar="MS",
         help="per-stage SLO in ms for the cascade's model stages "
              "(default: none)")
-    workflow_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace + utilisation report (the "
-             "waterfall spans every stage of the cascade)")
-    workflow_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-
-    workflow_sweep = sub.add_parser(
-        "workflow-sweep", parents=[flow_common],
-        help="cascade vs monolithic classify at matched offered "
-             "rates")
+    workflow_sweep = command(
+        "workflow-sweep", _cmd_workflow_sweep,
+        "cascade vs monolithic classify at matched offered rates",
+        [_flow_options()], requests=80, slo=800.0)
     workflow_sweep.add_argument(
         "--rates", default=None, metavar="LIST",
         help="comma list of offered rates in workflows/s "
              "(default 20,40,80; 20,40 with --smoke)")
-    workflow_sweep.set_defaults(requests=80)
 
-    trace_analyze = sub.add_parser(
-        "trace-analyze",
-        help="analyze a recorded metrics JSONL dump offline")
+    trace_analyze = command(
+        "trace-analyze", _cmd_trace_analyze,
+        "analyze a recorded metrics JSONL dump offline")
     trace_analyze.add_argument(
         "path", metavar="PATH",
         help="metrics JSONL file from serve-run/cluster-run "
@@ -1794,10 +1575,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--waterfalls", type=int, default=1, metavar="N",
         help="completed request waterfalls to print (default 1)")
 
-    perf_run = sub.add_parser(
-        "perf-run",
-        help="time the wall-clock perf suite; write / check "
-             "BENCH_PR9.json")
+    perf_run = command(
+        "perf-run", _cmd_perf_run,
+        "time the wall-clock perf suite; write / check BENCH_PR9.json")
     perf_run.add_argument(
         "--smoke", action="store_true",
         help="CI-sized workloads (seconds instead of a minute)")
@@ -1820,47 +1600,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (0 ok, 1 run
+    failed, 2 bad input)."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command in _FIGURES:
-        return _cmd_figure(args.command, args)
-    if args.command == "headline":
-        return _cmd_headline(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "profile-run":
-        return _cmd_profile_run(args)
-    if args.command == "chaos-run":
-        return _cmd_chaos_run(args)
-    if args.command == "serve-run":
-        return _cmd_serve_run(args)
-    if args.command == "serve-sweep":
-        return _cmd_serve_sweep(args)
-    if args.command == "split-sweep":
-        return _cmd_split_sweep(args)
-    if args.command == "cluster-run":
-        return _cmd_cluster_run(args)
-    if args.command == "cluster-sweep":
-        return _cmd_cluster_sweep(args)
-    if args.command == "autoscale-run":
-        return _cmd_autoscale_run(args)
-    if args.command == "autoscale-sweep":
-        return _cmd_autoscale_sweep(args)
-    if args.command == "workflow-run":
-        return _cmd_workflow_run(args)
-    if args.command == "workflow-sweep":
-        return _cmd_workflow_sweep(args)
-    if args.command == "trace-analyze":
-        return _cmd_trace_analyze(args)
-    if args.command == "perf-run":
-        return _cmd_perf_run(args)
-    raise AssertionError("unreachable")
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: {type(exc).__name__}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

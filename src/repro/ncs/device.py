@@ -37,7 +37,6 @@ from repro.errors import (
 )
 from repro.numerics.quant import PrecisionPolicy
 from repro.sim.core import Environment, Event, Interrupt
-from repro.sim.monitor import TraceRecorder
 from repro.sim.resources import Store
 from repro.ncs.firmware import DEFAULT_FIRMWARE, FirmwareImage
 from repro.ncs.thermal import ThermalModel
@@ -72,7 +71,6 @@ class NCSDevice:
                  firmware: FirmwareImage = DEFAULT_FIRMWARE,
                  chip_config: Myriad2Config | None = None,
                  functional: bool = True,
-                 trace: Optional[TraceRecorder] = None,
                  thermal: Optional["ThermalModel"] = None) -> None:
         if device_id not in topology.devices:
             raise NCAPIError(
@@ -82,9 +80,7 @@ class NCSDevice:
         self.topology = topology
         self.firmware = firmware
         self.functional = functional
-        self.trace = trace
-        self.chip = Myriad2(env, chip_config, trace=trace,
-                            name=f"{device_id}/chip")
+        self.chip = Myriad2(env, chip_config, name=f"{device_id}/chip")
         self.booted = False
         self.closed = False
         #: Fault state: a dead device rejects every operation with
@@ -142,7 +138,6 @@ class NCSDevice:
         self.chip.islands.power_on("risc1")
         self.chip.islands.power_on("usb")
         self._scheduler = self.env.process(self._scheduler_loop())
-        self._emit("booted", version=self.firmware.version)
         obs = self.env.obs
         if obs is not None:
             obs.tracer.instant("booted", track=self.device_id,
@@ -168,7 +163,6 @@ class NCSDevice:
         if self._scheduler is not None and self._scheduler.is_alive:
             self._scheduler.interrupt("reset")
         self._scheduler = None
-        dropped = len(self._in_fifo.items) + len(self._out_fifo.items)
         self._in_fifo = Store(self.env, capacity=FIFO_DEPTH)
         self._out_fifo = Store(self.env, capacity=FIFO_DEPTH)
         if self._graph is not None:
@@ -177,7 +171,6 @@ class NCSDevice:
             self._graph = None
             self._graph_handle = None
         self.booted = False
-        self._emit("reset", dropped_inferences=dropped)
         yield self._boot_inner()
 
     def _boot_inner(self) -> Event:
@@ -216,7 +209,6 @@ class NCSDevice:
                 and sched is not self.env.active_process):
             sched.interrupt("device-dead")
         self._scheduler = None
-        self._emit("device_failed", kind=kind, detail=detail)
         obs = self.env.obs
         if obs is not None:
             obs.tracer.instant("device_failed", track=self.device_id,
@@ -247,7 +239,6 @@ class NCSDevice:
                 and sched is not self.env.active_process):
             sched.interrupt("firmware-hang")
         self._scheduler = None
-        self._emit("device_hung", detail=detail)
         obs = self.env.obs
         if obs is not None:
             obs.tracer.instant("device_hung", track=self.device_id,
@@ -313,8 +304,6 @@ class NCSDevice:
         yield self.topology.transfer(self.device_id, blob_bytes)
         self._graph_handle = self.chip.allocate_graph(graph)
         self._graph = graph
-        self._emit("graph_allocated", graph=graph.name,
-                   nbytes=blob_bytes)
 
     def deallocate_graph(self) -> None:
         """Release the resident graph."""
@@ -365,7 +354,6 @@ class NCSDevice:
         yield from self._await_or_lost(
             self.topology.transfer(self.device_id, nbytes))
         yield from self._await_or_lost(self._in_fifo.put(item))
-        self._emit("tensor_loaded", seq=item.seq, nbytes=nbytes)
         return item.seq
 
     def _scheduler_loop(self) -> Generator[Event, None, None]:
@@ -436,8 +424,6 @@ class NCSDevice:
                 obs.metrics.histogram("ncs.inference_seconds").observe(
                     item.finished_at - item.started_at)
             yield self._out_fifo.put(item)
-            self._emit("inference_complete", seq=item.seq,
-                       seconds=item.finished_at - item.started_at)
 
     def _compute_result(self, graph: CompiledGraph,
                         tensor: Optional[np.ndarray]) -> np.ndarray:
@@ -467,7 +453,6 @@ class NCSDevice:
         yield from self._await_or_lost(
             self.topology.transfer(self.device_id,
                                    graph.output_tensor_bytes))
-        self._emit("result_read", seq=item.seq)
         return item.result, item.user
 
     # -- helpers -----------------------------------------------------------------
@@ -484,7 +469,3 @@ class NCSDevice:
             raise DeviceClosed(f"{self.device_id} is closed")
         if require_boot and not self.booted:
             raise NCAPIError(f"{self.device_id} is not booted")
-
-    def _emit(self, action: str, **detail) -> None:
-        if self.trace is not None:
-            self.trace.emit(self.device_id, action, **detail)

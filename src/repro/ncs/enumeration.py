@@ -14,20 +14,16 @@ from repro.ncs.device import NCSDevice
 from repro.ncs.firmware import DEFAULT_FIRMWARE, FirmwareImage
 from repro.ncs.usb import USBTopology
 from repro.sim.core import Environment
-from repro.sim.monitor import TraceRecorder
 from repro.vpu.myriad2 import Myriad2Config
 
 
 def enumerate_devices(env: Environment, topology: USBTopology,
                       firmware: FirmwareImage = DEFAULT_FIRMWARE,
                       chip_config: Optional[Myriad2Config] = None,
-                      functional: bool = True,
-                      trace: Optional[TraceRecorder] = None
-                      ) -> list[NCSDevice]:
+                      functional: bool = True) -> list[NCSDevice]:
     """Instantiate an :class:`NCSDevice` for every attached stick."""
     devices = [NCSDevice(env, device_id, topology, firmware=firmware,
-                         chip_config=chip_config, functional=functional,
-                         trace=trace)
+                         chip_config=chip_config, functional=functional)
                for device_id in topology.devices]
     if not devices:
         raise DeviceNotFound("no NCS devices attached to the topology")

@@ -25,7 +25,6 @@ from repro.ncs.enumeration import enumerate_devices
 from repro.ncs.firmware import DEFAULT_FIRMWARE, FirmwareImage
 from repro.ncs.usb import USBTopology
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import TraceRecorder
 from repro.vpu.compiler.compile import CompiledGraph
 from repro.vpu.myriad2 import Myriad2Config
 
@@ -219,13 +218,12 @@ class NCAPI:
     def __init__(self, env: Environment, topology: USBTopology,
                  firmware: FirmwareImage = DEFAULT_FIRMWARE,
                  chip_config: Optional[Myriad2Config] = None,
-                 functional: bool = True,
-                 trace: Optional[TraceRecorder] = None) -> None:
+                 functional: bool = True) -> None:
         self.env = env
         self.topology = topology
         self._devices = enumerate_devices(
             env, topology, firmware=firmware, chip_config=chip_config,
-            functional=functional, trace=trace)
+            functional=functional)
 
     def device_names(self) -> list[str]:
         """IDs of every attached stick (``mvncGetDeviceName`` loop)."""

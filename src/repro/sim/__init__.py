@@ -14,7 +14,7 @@ from repro.sim.core import (Environment, Event, Process, Timeout,
                             Interrupt, CANCELLED)
 from repro.sim.resources import Resource, PriorityResource, Store
 from repro.sim.channel import Channel
-from repro.sim.monitor import Monitor, TraceRecorder
+from repro.sim.monitor import Monitor
 
 __all__ = [
     "Environment",
@@ -28,5 +28,4 @@ __all__ = [
     "Store",
     "Channel",
     "Monitor",
-    "TraceRecorder",
 ]

@@ -2,14 +2,10 @@
 
 :class:`Monitor` accumulates ``(time, value)`` samples and computes
 time-weighted statistics — used for link utilisation, queue depths and
-power draw.  :class:`TraceRecorder` collects structured trace events
-(who did what, when) that the test-suite asserts against.
+power draw.  Structured event tracing lives in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any, Iterator
 
 from repro.sim.core import Environment
 
@@ -76,70 +72,3 @@ class Monitor:
     def maximum(self) -> float:
         """Largest recorded value (0.0 if nothing recorded)."""
         return max(self.values) if self.values else 0.0
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One structured trace record."""
-
-    time: float
-    actor: str
-    action: str
-    detail: dict[str, Any] = field(default_factory=dict)
-
-
-class TraceRecorder:
-    """Append-only log of :class:`TraceEvent` records.
-
-    Recording is toggled through :meth:`enable` / :meth:`disable` —
-    the same API shape as :class:`repro.obs.tracer.Tracer`.  Assigning
-    the :attr:`enabled` attribute directly still works but is
-    deprecated.
-    """
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.events: list[TraceEvent] = []
-        self._enabled = True
-
-    @property
-    def enabled(self) -> bool:
-        """Whether :meth:`emit` records anything."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        import warnings
-
-        warnings.warn(
-            "setting TraceRecorder.enabled directly is deprecated; "
-            "use enable()/disable()", DeprecationWarning, stacklevel=2)
-        self._enabled = bool(value)
-
-    def enable(self) -> None:
-        """Resume recording trace events."""
-        self._enabled = True
-
-    def disable(self) -> None:
-        """Stop recording; subsequent :meth:`emit` calls are no-ops."""
-        self._enabled = False
-
-    def emit(self, actor: str, action: str, **detail: Any) -> None:
-        """Append a trace record stamped with the current simulated time."""
-        if self._enabled:
-            self.events.append(
-                TraceEvent(self.env.now, actor, action, detail))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def by_action(self, action: str) -> list[TraceEvent]:
-        """All records whose action equals *action*."""
-        return [e for e in self.events if e.action == action]
-
-    def by_actor(self, actor: str) -> list[TraceEvent]:
-        """All records emitted by *actor*."""
-        return [e for e in self.events if e.actor == actor]

@@ -53,22 +53,6 @@ def patch_cache_info() -> dict[str, int]:
             "scratch_entries": len(_scratch_cache)}
 
 
-def _patch_indices(c: int, h: int, w: int, kernel: int, stride: int,
-                   pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      int, int]:
-    """Index arrays mapping (C*K*K, OH*OW) columns into the padded input.
-
-    Kept for API compatibility (and the col2im scatter); derived from
-    the cached flat indices, so both callers share one cache entry.
-    """
-    flat, out_h, out_w = _flat_patch_indices(c, h, w, kernel, stride,
-                                             pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    chans, rem = np.divmod(flat, hp * wp)
-    rows, cols = np.divmod(rem, wp)
-    return chans, rows, cols, out_h, out_w
-
-
 def _flat_patch_indices(c: int, h: int, w: int, kernel: int,
                         stride: int, pad: int
                         ) -> tuple[np.ndarray, int, int]:

@@ -9,11 +9,10 @@ timing, SHAVE utilisation accounting and power-island gating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import AllocationError, SimulationError
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import TraceRecorder
 from repro.sim.resources import Resource
 from repro.units import MHZ
 from repro.vpu.clock import Clock
@@ -47,12 +46,10 @@ class Myriad2:
 
     def __init__(self, env: Environment,
                  config: Myriad2Config | None = None,
-                 trace: Optional[TraceRecorder] = None,
                  name: str = "myriad2") -> None:
         self.env = env
         self.config = config or Myriad2Config()
         self.name = name
-        self.trace = trace
         self.clock = Clock(self.config.freq_hz)
         self.shaves = [ShaveProcessor(i, self.config.shave)
                        for i in range(self.config.num_shaves)]
@@ -91,7 +88,6 @@ class Myriad2:
         handle = self._next_handle
         self._next_handle += 1
         self._graph_handles[handle] = nbytes
-        self._emit("allocate_graph", handle=handle, nbytes=nbytes)
         return handle
 
     def deallocate_graph(self, handle: int) -> None:
@@ -102,7 +98,6 @@ class Myriad2:
             raise AllocationError(
                 f"unknown graph handle {handle}") from None
         self.ddr.release(nbytes)
-        self._emit("deallocate_graph", handle=handle)
 
     # -- inference --------------------------------------------------------------
     def run_inference(self, graph: CompiledGraph) -> Event:
@@ -143,14 +138,9 @@ class Myriad2:
                 self.islands.power_off("cmx")
                 self.islands.power_off("ddr_if")
             self.inferences_completed += 1
-            self._emit("inference_done", graph=graph.name)
             return per_layer
 
     # -- misc ----------------------------------------------------------------------
-    def _emit(self, action: str, **detail) -> None:
-        if self.trace is not None:
-            self.trace.emit(self.name, action, **detail)
-
     def shave_utilization(self) -> list[float]:
         """Busy fraction of each SHAVE over the elapsed simulation."""
         total = self.clock.to_cycles(self.env.now)

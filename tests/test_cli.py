@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.cli import build_parser, main
+from repro.errors import ConfigError
+from repro.harness.cli import build_parser, main, parse_backends
 
 
 def test_list_command(capsys):
@@ -171,14 +172,6 @@ def test_serve_run_kill_stick_degrades(capsys):
     assert "device failures: ncs0" in out
 
 
-def test_serve_run_validation(capsys):
-    assert main(["serve-run", "--backends", "tpu9"]) == 2
-    assert "unknown token" in capsys.readouterr().out
-    assert main(["serve-run", "--kill-stick", "0",
-                 "--kill-at", "1.5"]) == 2
-    assert main(["serve-run", "--workload", "replay"]) == 2
-
-
 def test_serve_run_replay_trace(tmp_path, capsys):
     trace = tmp_path / "arrivals.txt"
     trace.write_text("".join(f"{0.2 * i:.3f}\n" for i in range(12)))
@@ -229,14 +222,13 @@ def test_cluster_run_kill_host_resurvives(capsys):
     assert "completed       : 40" in out  # nothing lost
 
 
-def test_cluster_run_validation(capsys):
-    assert main(["cluster-run", "--host-backends", "tpu9"]) == 2
-    assert "unknown token" in capsys.readouterr().out
-    assert main(["cluster-run", "--hosts", "2",
-                 "--kill-host", "5"]) == 2
-    assert main(["cluster-run", "--kill-host", "0",
-                 "--kill-at", "1.5"]) == 2
-    assert main(["cluster-run", "--hosts", "0"]) == 2
+def test_cluster_run_hosts_split_backends(capsys):
+    assert main(["cluster-run", "--hosts", "2", "--host-backends",
+                 "vpu2+cpu", "--requests", "24"]) == 0
+    out = capsys.readouterr().out
+    assert "hosts           : 2 (2 live at end)" in out
+    assert "offered         : 24" in out
+    assert "host0" in out and "host1" in out
 
 
 def test_cluster_sweep_smoke(capsys):
@@ -335,3 +327,89 @@ def test_workflow_sweep_smoke_renders_table(capsys):
 def test_workflow_run_rejects_bad_scale(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["workflow-run", "--scale", "huge"])
+
+
+def test_parse_backends_grammar():
+    specs = parse_backends("cpu, gpu,vpu8,vpu4+cpu,cpu+vpu2")
+    assert [(s.token, s.front, s.back, s.sticks) for s in specs] == [
+        ("cpu", "cpu", None, None),
+        ("gpu", "gpu", None, None),
+        ("vpu8", "vpu", None, 8),
+        ("vpu4+cpu", "vpu", "cpu", 4),
+        ("cpu+vpu2", "cpu", "vpu", 2),
+    ]
+    assert [s.is_vpu for s in specs] == [False, False, True, False,
+                                         False]
+    for bad in ("", "tpu", "vpu", "vpu0", "vpu9", "cpu+gpu",
+                "vpu2+vpu4", "vpu2+cpu+gpu"):
+        with pytest.raises(ConfigError):
+            parse_backends(bad, "--host-backends")
+
+
+@pytest.fixture(scope="module")
+def metrics_dump(tmp_path_factory):
+    path = tmp_path_factory.mktemp("obs") / "serve.jsonl"
+    assert main(["serve-run", "--backends", "vpu1", "--requests", "8",
+                 "--rate", "10", "--metrics", str(path)]) == 0
+    return path
+
+
+# Every row is bad input: exit 2, one ``repro <command>:`` line on
+# stdout, no traceback.  ``{tmp}`` is the test's scratch directory.
+BAD_INPUT = [
+    pytest.param(["serve-run", "--backends", "tpu9"], "unknown token",
+                 id="serve-unknown-token"),
+    pytest.param(["serve-run", "--kill-stick", "0", "--kill-at", "1.5"],
+                 None, id="serve-kill-at"),
+    pytest.param(["serve-run", "--workload", "replay"], None,
+                 id="serve-replay-without-file"),
+    pytest.param(["serve-run", "--backends", "vpu9"], "1-8",
+                 id="serve-vpu9"),
+    pytest.param(["serve-run", "--backends", "vpu0"], "1-8",
+                 id="serve-vpu0"),
+    pytest.param(["serve-run", "--requests", "0"], None,
+                 id="serve-requests-0"),
+    pytest.param(["serve-run", "--queue-depth", "0"], None,
+                 id="serve-queue-depth-0"),
+    pytest.param(["serve-run", "--slo", "-1"], None, id="serve-slo-neg"),
+    pytest.param(["serve-run", "--rate", "0"], None, id="serve-rate-0"),
+    pytest.param(["serve-run", "--backends", "vpu2", "--kill-stick",
+                  "7"], "--kill-stick", id="serve-kill-stick-7"),
+    pytest.param(["serve-run", "--workload", "replay", "--replay",
+                  "{tmp}/missing.txt"], "FileNotFoundError",
+                 id="serve-replay-missing"),
+    pytest.param(["serve-run", "--trace", "{tmp}/missing/t.json"],
+                 "does not exist", id="serve-trace-missing-dir"),
+    pytest.param(["cluster-run", "--host-backends", "tpu9"],
+                 "unknown token", id="cluster-unknown-token"),
+    pytest.param(["cluster-run", "--hosts", "2", "--kill-host", "5"],
+                 None, id="cluster-kill-host"),
+    pytest.param(["cluster-run", "--kill-host", "0", "--kill-at", "1.5"],
+                 None, id="cluster-kill-at"),
+    pytest.param(["cluster-run", "--hosts", "0"], None,
+                 id="cluster-hosts-0"),
+    pytest.param(["trace-analyze", "{metrics}", "--window", "0"], None,
+                 id="trace-analyze-window-0"),
+    pytest.param(["workflow-run", "--requests", "0"], None,
+                 id="workflow-requests-0"),
+    pytest.param(["serve-sweep", "--steps", "0"], None,
+                 id="serve-sweep-steps-0"),
+    pytest.param(["chaos-run", "--devices", "9"], None,
+                 id="chaos-devices-9"),
+    pytest.param(["split-sweep", "--devices", "vpu4"], "<front>+<back>",
+                 id="split-sweep-single-device"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", BAD_INPUT)
+def test_bad_input_exits_2(argv, needle, tmp_path, metrics_dump,
+                           capsys):
+    argv = [a.format(tmp=tmp_path, metrics=metrics_dump) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1, captured.out
+    assert lines[0].startswith(f"repro {argv[0]}: ")
+    assert "Traceback" not in captured.out + captured.err
+    if needle is not None:
+        assert needle in captured.out

@@ -1,8 +1,8 @@
-"""Unit tests for Monitor time-series probes and TraceRecorder."""
+"""Unit tests for Monitor time-series probes."""
 
 import pytest
 
-from repro.sim import Environment, Monitor, TraceRecorder
+from repro.sim import Environment, Monitor
 
 
 def _advance(env, t):
@@ -118,56 +118,3 @@ def test_monitor_single_sample_average():
     # No duration elapsed -> average falls back to the sample value.
     assert m.time_average() == 7
 
-
-def test_trace_recorder_emit_and_query():
-    env = Environment()
-    tr = TraceRecorder(env)
-
-    def proc():
-        tr.emit("vpu0", "load_tensor", nbytes=1000)
-        yield env.timeout(1)
-        tr.emit("vpu0", "get_result")
-        tr.emit("vpu1", "load_tensor", nbytes=500)
-
-    env.process(proc())
-    env.run()
-    assert len(tr) == 3
-    loads = tr.by_action("load_tensor")
-    assert len(loads) == 2
-    assert loads[0].time == 0 and loads[0].detail["nbytes"] == 1000
-    assert len(tr.by_actor("vpu0")) == 2
-
-
-def test_trace_recorder_disable():
-    env = Environment()
-    tr = TraceRecorder(env)
-    tr.disable()
-    assert not tr.enabled
-    tr.emit("x", "y")
-    assert len(tr) == 0
-    tr.enable()
-    tr.emit("x", "y")
-    assert len(tr) == 1
-
-
-def test_trace_recorder_enabled_attribute_deprecated():
-    env = Environment()
-    tr = TraceRecorder(env)
-    # Direct attribute pokes still work but warn.
-    with pytest.deprecated_call():
-        tr.enabled = False
-    tr.emit("x", "y")
-    assert len(tr) == 0
-    with pytest.deprecated_call():
-        tr.enabled = True
-    tr.emit("x", "y")
-    assert len(tr) == 1
-
-
-def test_trace_events_are_frozen():
-    env = Environment()
-    tr = TraceRecorder(env)
-    tr.emit("a", "b")
-    ev = tr.events[0]
-    with pytest.raises(AttributeError):
-        ev.time = 99

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AllocationError, SimulationError
 from repro.nn import get_model
 from repro.nn.weights import initialize_network
-from repro.sim import Environment, TraceRecorder
+from repro.sim import Environment
 from repro.vpu import Myriad2, Myriad2Config, compile_graph
 
 
@@ -114,16 +114,6 @@ def test_energy_scales_with_inference_count(micro_graph):
         return chip.islands.energy_joules()
 
     assert run(4) == pytest.approx(4 * run(1), rel=0.05)
-
-
-def test_trace_events_emitted(micro_graph):
-    env = Environment()
-    trace = TraceRecorder(env)
-    chip = Myriad2(env, trace=trace)
-    chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
-    assert len(trace.by_action("allocate_graph")) == 1
-    assert len(trace.by_action("inference_done")) == 1
 
 
 def test_ddr_traffic_accounted_for_spilled_layers(micro_graph):
