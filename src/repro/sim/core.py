@@ -391,6 +391,24 @@ class Environment:
         """Create an event firing after *delay* time units."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event firing at the absolute simulated time *when*.
+
+        The fire time is *when* exactly: a model that folds a chain of
+        delays into one event gets the same float as the chain of
+        :meth:`timeout` calls would have reached.  Raises
+        :class:`ValueError` if *when* is in the past (or NaN).
+        """
+        if not when >= self._now:
+            raise ValueError(
+                f"timeout_at({when}) is in the past (now={self._now})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (float(when), NORMAL, seq, event))
+        return event
+
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process from *generator*."""
         return Process(self, generator)

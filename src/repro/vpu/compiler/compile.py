@@ -12,10 +12,11 @@ import io
 import pickle
 from dataclasses import dataclass, field
 
-from repro.errors import CompileError, InvalidGraphFile
+from repro.errors import CompileError, InvalidGraphFile, SimulationError
 from repro.nn.graph import Network
 from repro.numerics.quant import Precision, PrecisionPolicy
 from repro.tensors.layout import BlobShape
+from repro.units import cycles_to_seconds
 from repro.vpu.compiler.schedule import ShaveAssignment, assign_shaves
 from repro.vpu.compiler.tiling import TilePlan, plan_tiling
 from repro.vpu.timing import LayerTiming, estimate_layer_cycles
@@ -48,6 +49,64 @@ class LayerSchedule:
         return self.timing.total_cycles
 
 
+@dataclass(frozen=True)
+class ExecutionSummary:
+    """One inference of a compiled graph, folded ahead of time.
+
+    A compiled graph's schedule is fixed, so everything the chip model
+    used to accumulate layer by layer is known before the inference
+    starts: the per-layer seconds (in schedule order, so that folding
+    them from the start time reproduces the per-layer timeout chain
+    float for float), and the integer counter increments the SHAVEs
+    and the DMA engine are credited with when it completes.
+    """
+
+    #: Layer name -> seconds in schedule order (NCAPI ``TIME_TAKEN``);
+    #: one entry per layer, since a network's layer names are unique.
+    per_layer: dict[str, float]
+    #: ``(busy_cycles, kernels_run)`` increment of SHAVE ``i``.
+    shave_credits: tuple[tuple[int, int], ...]
+    #: DDR<->CMX transfers of the layers that spill out of CMX.
+    dma_transfers: int
+    dma_bytes: int
+
+    def finish_time(self, start: float) -> float:
+        """Simulated time at which an inference started at *start*
+        completes: ``((start + s1) + s2) + ...``, not ``start + sum``."""
+        t = start
+        for seconds in self.per_layer.values():
+            t += seconds
+        return t
+
+
+def summarize_execution(layers: list[LayerSchedule], shaves: int,
+                        freq_hz: float) -> ExecutionSummary:
+    """Fold *layers* run on *shaves* SHAVEs at *freq_hz* into one
+    :class:`ExecutionSummary`; raises :class:`SimulationError` for a
+    negative cycle count, which no SHAVE can be credited with."""
+    per_layer: dict[str, float] = {}
+    busy = [0] * shaves
+    runs = [0] * shaves
+    transfers = 0
+    nbytes = 0
+    for sched in layers:
+        per_layer[sched.name] = cycles_to_seconds(sched.total_cycles,
+                                                  freq_hz)
+        cycles = sched.timing.compute_cycles
+        if cycles < 0 or sched.total_cycles < 0:
+            raise SimulationError(
+                f"layer {sched.name!r}: negative cycle count")
+        for i in range(min(sched.assignment.shaves_used, shaves)):
+            busy[i] += cycles
+            runs[i] += 1
+        if not sched.tile_plan.fits_cmx:
+            transfers += 1
+            nbytes += sched.tile_plan.ddr_traffic_bytes
+    return ExecutionSummary(per_layer=per_layer,
+                            shave_credits=tuple(zip(busy, runs)),
+                            dma_transfers=transfers, dma_bytes=nbytes)
+
+
 @dataclass
 class CompiledGraph:
     """A compiled network graph (the NCSDK "graph file" content)."""
@@ -60,6 +119,25 @@ class CompiledGraph:
     network: Network = field(repr=False)
     freq_hz: float = 600e6
     num_shaves: int = 12
+    _summaries: dict[tuple[int, float], ExecutionSummary] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def execution_summary(self, shaves: int,
+                          freq_hz: float) -> ExecutionSummary:
+        """The folded inference on *shaves* SHAVEs at *freq_hz*, built
+        on first use and cached on the graph."""
+        key = (shaves, freq_hz)
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary = summarize_execution(self.layers, shaves, freq_hz)
+            self._summaries[key] = summary
+        return summary
+
+    def __getstate__(self) -> dict:
+        # The summary cache is derived data: keep it out of graph files.
+        state = dict(self.__dict__)
+        state["_summaries"] = {}
+        return state
 
     @property
     def total_cycles(self) -> int:

@@ -4,6 +4,14 @@ Assembles the component models — SHAVE array, CMX, DDR, DMA, SIPP,
 power islands — and exposes the operation the NCS device model needs:
 run one compiled-graph inference as a DES process, with per-layer
 timing, SHAVE utilisation accounting and power-island gating.
+
+A compiled graph's schedule is fixed, so an inference is not simulated
+layer by layer.  Its :class:`~repro.vpu.compiler.compile.ExecutionSummary`
+(per-layer seconds, SHAVE and DMA counter increments, cached on the
+graph) is folded ahead of time; the inference waits on one kernel event
+at the exact float the per-layer timeout chain would have reached, and
+the SHAVE/DMA counters are credited when it completes.  A run stopped
+mid-inference therefore sees none of that inference's counts.
 """
 
 from __future__ import annotations
@@ -66,6 +74,10 @@ class Myriad2:
         # scheduler serialises executions).
         self._shave_array = Resource(env, capacity=1)
         self.inferences_completed = 0
+        #: Islands an inference on ``n`` SHAVEs ungates, indexed by n.
+        self._island_groups = [
+            tuple(f"shave{i}" for i in range(n)) + ("cmx", "ddr_if")
+            for n in range(self.config.num_shaves + 1)]
         self._graph_handles: dict[int, int] = {}
         self._next_handle = 1
 
@@ -103,8 +115,12 @@ class Myriad2:
     def run_inference(self, graph: CompiledGraph) -> Event:
         """Execute one inference as a DES process.
 
-        The process event's value is a dict of per-layer seconds
-        (NCAPI ``TIME_TAKEN`` analogue).
+        The process waits for the SHAVE array, ungates the SHAVE, CMX
+        and DDR-interface islands in one step, waits on a single kernel
+        event at the inference's completion time, then credits the
+        SHAVE and DMA counters and gates the islands again.  Its event
+        value is a dict of per-layer seconds in schedule order (NCAPI
+        ``TIME_TAKEN`` analogue).
         """
         return self.env.process(self._inference(graph))
 
@@ -113,32 +129,22 @@ class Myriad2:
         with self._shave_array.request() as req:
             yield req
             used = min(graph.num_shaves, len(self.shaves))
-            for i in range(used):
-                self.islands.power_on(f"shave{i}")
-            self.islands.power_on("cmx")
-            self.islands.power_on("ddr_if")
-
-            per_layer: dict[str, float] = {}
+            summary = graph.execution_summary(used, self.clock.freq_hz)
+            group = self._island_groups[used]
+            self.islands.set_group(group, True)
             try:
-                for sched in graph.layers:
-                    seconds = self.clock.to_seconds(sched.total_cycles)
-                    yield self.env.timeout(seconds)
-                    per_layer[sched.name] = seconds
-                    share = min(sched.assignment.shaves_used, used)
-                    for i in range(share):
-                        self.shaves[i].record_execution(
-                            sched.timing.compute_cycles)
-                    if not sched.tile_plan.fits_cmx:
-                        self.dma.transfers += 1
-                        self.dma.bytes_moved += (
-                            sched.tile_plan.ddr_traffic_bytes)
+                yield self.env.timeout_at(
+                    summary.finish_time(self.env.now))
+                for shave, (cycles, runs) in zip(self.shaves,
+                                                 summary.shave_credits):
+                    shave.busy_cycles += cycles
+                    shave.kernels_run += runs
+                self.dma.transfers += summary.dma_transfers
+                self.dma.bytes_moved += summary.dma_bytes
             finally:
-                for i in range(used):
-                    self.islands.power_off(f"shave{i}")
-                self.islands.power_off("cmx")
-                self.islands.power_off("ddr_if")
+                self.islands.set_group(group, False)
             self.inferences_completed += 1
-            return per_layer
+            return dict(summary.per_layer)
 
     # -- misc ----------------------------------------------------------------------
     def shave_utilization(self) -> list[float]:

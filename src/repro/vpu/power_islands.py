@@ -9,6 +9,8 @@ integrates per-island power into energy.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.errors import PowerError
 from repro.sim.core import Environment
 from repro.sim.monitor import Monitor
@@ -60,18 +62,36 @@ class PowerIslands:
 
     def power_on(self, name: str) -> None:
         """Ungate an island."""
-        self._check(name)
-        if not self._on[name]:
-            self._on[name] = True
-            self.monitor.record(self.current_power())
+        self.set_group((name,), True)
 
     def power_off(self, name: str) -> None:
         """Gate an island (always_on cannot be gated)."""
-        self._check(name)
-        if name == "always_on":
+        self.set_group((name,), False)
+
+    def set_group(self, names: Iterable[str], on: bool) -> None:
+        """Ungate (*on*) or gate every island in *names* as one step.
+
+        All or nothing: every name is checked before any island flips,
+        so an unknown island, or ``always_on`` in a group being gated,
+        raises :class:`PowerError` and leaves every island as it was.
+        The step records one power sample, and none if no island
+        changed state.  Dropping the intermediate samples of a
+        one-by-one flip changes neither :meth:`energy_joules` (they
+        span zero time) nor the monitor's maximum (power moves
+        monotonically within one direction of gating).
+        """
+        names = tuple(names)
+        for name in names:
+            self._check(name)
+        if not on and "always_on" in names:
             raise PowerError("the always-on island cannot be gated")
-        if self._on[name]:
-            self._on[name] = False
+        state = self._on
+        changed = False
+        for name in names:
+            if state[name] != on:
+                state[name] = on
+                changed = True
+        if changed:
             self.monitor.record(self.current_power())
 
     def power_on_all(self) -> None:

@@ -33,6 +33,43 @@ def test_timeout_negative_delay_rejected():
         env.timeout(-1)
 
 
+def test_timeout_at_fires_at_absolute_time():
+    env = Environment()
+    delays = [0.1, 0.2, 0.7, 1e-9, 0.3]
+    fired = []
+
+    def chained():
+        for d in delays:
+            yield env.timeout(d)
+        fired.append(("chain", env.now))
+
+    def folded():
+        when = env.now
+        for d in delays:
+            when += d
+        value = yield env.timeout_at(when, value="done")
+        fired.append((value, env.now))
+
+    env.process(chained())
+    env.process(folded())
+    env.run()
+    # The folded event lands on the chain's float, not on now + sum().
+    assert fired[0][1] == fired[1][1]
+    assert {tag for tag, _ in fired} == {"chain", "done"}
+
+
+def test_timeout_at_rejects_past_and_nan():
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(float("nan"))
+    event = env.timeout_at(2.0)  # now itself is allowed
+    env.run()
+    assert event.processed and env.now == 2.0
+
+
 def test_timeout_carries_value():
     env = Environment()
     seen = []

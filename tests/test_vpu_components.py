@@ -355,6 +355,49 @@ def test_unknown_island():
         p.power_on("gpu")
 
 
+def test_set_group_flips_all_with_one_sample():
+    env = Environment()
+    p = PowerIslands(env)
+    group = ("shave0", "shave1", "cmx")
+    samples = len(p.monitor)
+    p.set_group(group, True)
+    assert all(p.is_on(n) for n in group)
+    assert len(p.monitor) == samples + 1
+    p.set_group(group, True)  # nothing changes, nothing recorded
+    assert len(p.monitor) == samples + 1
+    p.set_group(group, False)
+    assert not any(p.is_on(n) for n in group)
+    assert len(p.monitor) == samples + 2
+
+
+def _island_state(p):
+    return ({n: p.is_on(n) for n in p.islands}, len(p.monitor))
+
+
+def test_set_group_unknown_island_changes_nothing():
+    env = Environment()
+    p = PowerIslands(env)
+    p.power_on("shave3")
+    before = _island_state(p)
+    with pytest.raises(PowerError):
+        p.set_group(("shave0", "gpu", "cmx"), True)
+    with pytest.raises(PowerError):
+        p.set_group(("shave3", "gpu"), False)
+    assert _island_state(p) == before
+
+
+def test_set_group_cannot_gate_always_on():
+    env = Environment()
+    p = PowerIslands(env)
+    p.set_group(("shave0", "cmx"), True)
+    before = _island_state(p)
+    with pytest.raises(PowerError):
+        p.set_group(("shave0", "always_on", "cmx"), False)
+    assert _island_state(p) == before
+    p.set_group(("always_on",), True)  # ungating it is a no-op
+    assert _island_state(p) == before
+
+
 def test_energy_integration():
     env = Environment()
     p = PowerIslands(env)
