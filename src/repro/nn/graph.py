@@ -8,8 +8,11 @@ in-order sweep — the same invariant Caffe's net initialisation enforces.
 Execution takes a :class:`~repro.numerics.quant.PrecisionPolicy`:
 
 * FP32 — the reference CPU/GPU path; weights and activations untouched.
-* FP16 — the VPU path; weights rounded once (cached), every layer
-  output rounded through binary16 before the next layer reads it.
+* FP16 — the VPU path; weights rounded once (cached), every blob
+  rounded through binary16 before the next layer reads it.  Each blob
+  is rounded once: a layer that only copies values (ReLU, MAX pool,
+  Concat, Dropout) over already-rounded blobs is not rounded again,
+  since rounding an exact binary16 value is the identity.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from repro.errors import GraphError, ShapeError
 from repro.numerics.quant import PrecisionPolicy
 from repro.nn.layer import Layer
 from repro.tensors.layout import BlobShape
+
+
+#: Execution plans kept per network; one per (capture set, policy)
+#: pair, so a precision ablation sweep cannot grow the cache unbounded.
+_PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -48,10 +56,10 @@ class Network:
         self._producers: dict[str, str] = {input_blob: "<input>"}
         # Cache of FP16-quantised parameters, built lazily per layer.
         self._fp16_params: dict[str, dict[str, np.ndarray]] = {}
-        # Cached execution plans (fused steps + blob refcounts) keyed
-        # by the capture set; invalidated when the topology changes.
-        self._plan_cache: dict[frozenset,
-                               tuple[list, dict[str, int]]] = {}
+        # Cached execution plans keyed by (capture set, policy);
+        # invalidated when the topology changes.
+        self._plan_cache: dict[tuple[frozenset, PrecisionPolicy],
+                               tuple[list, dict[str, int], set[str]]] = {}
 
     # -- construction ---------------------------------------------------
     def add(self, layer: Layer) -> Layer:
@@ -162,22 +170,37 @@ class Network:
         """Drop cached quantised weights (call after mutating params)."""
         self._fp16_params.clear()
 
-    def _exec_plan(self, capture: frozenset
-                   ) -> tuple[list, dict[str, int]]:
-        """Execution plan: (layer, fused_relu) steps + blob refcounts.
+    def _exec_plan(self, capture: frozenset, policy: PrecisionPolicy
+                   ) -> tuple[list, dict[str, int], set[str]]:
+        """Execution plan: steps, blob refcounts and the kept blobs.
 
-        A Convolution immediately followed by the plain ReLU that is
-        its sole consumer executes as one fused step: the ReLU is
-        applied in place on the convolution output, skipping the
-        intermediate blob round-trip.  Fusion never changes values —
-        ``max(x, 0)`` is exact in every dtype and FP16 rounding is
-        idempotent across it — so results are bit-identical to the
-        unfused sweep.  Out-of-place ReLUs whose bottom is captured
-        stay unfused so the pre-activation blob remains observable.
+        Each step is ``(layer, fused_relu, swap_weights, round_out,
+        round_fused)``.  A Convolution immediately followed by the
+        plain ReLU that is its sole consumer executes as one fused
+        step: the ReLU is applied in place on the convolution output,
+        skipping the intermediate blob round-trip.  Out-of-place ReLUs
+        whose bottom is captured stay unfused so the pre-activation
+        blob remains observable.
+
+        ``round_out``/``round_fused`` say which outputs pass through
+        binary16 rounding.  The policy rounds the layers it applies
+        to, but a blob already exact in binary16 is never rounded
+        again: the rounded input blob, the output of a rounded layer,
+        and the output of a :attr:`~repro.nn.layer.Layer.copies_values`
+        layer whose every input is exact.  Rounding such a blob is the
+        identity, so skipping it never changes a value — a fused
+        Conv+ReLU rounds once, and a ReLU, MAX pool, Concat or Dropout
+        over rounded blobs not at all.
         """
-        cached = self._plan_cache.get(capture)
+        key = (capture, policy)
+        cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
+        unknown = sorted(capture - self._producers.keys())
+        if unknown:
+            raise GraphError(
+                f"cannot capture undefined blob(s) {unknown} in "
+                f"{self.name!r}")
         from repro.nn.conv import Convolution
         from repro.nn.relu import ReLU
 
@@ -187,6 +210,11 @@ class Network:
             for b in l.bottoms:
                 consumers[b] = consumers.get(b, 0) + 1
 
+        def rounds(layer: Layer) -> bool:
+            return (policy.quantize_activations
+                    and policy.applies_to(layer.name))
+
+        exact = {self.input_blob} if policy.quantize_input_blob else set()
         steps: list = []
         i = 0
         layers = self.layers
@@ -204,15 +232,36 @@ class Network:
                             and layer.tops[0] not in keep)
                     if in_place or lone:
                         fused = nxt
-            steps.append((layer, fused))
+            swap = policy.quantize_weights and policy.applies_to(
+                layer.name)
+            if fused is None:
+                copies = layer.copies_values and all(
+                    b in exact for b in layer.bottoms)
+                round_out = rounds(layer) and not copies
+                round_fused = False
+                tops_exact = rounds(layer) or copies
+                tops = layer.tops
+            else:
+                round_out = rounds(layer)
+                round_fused = rounds(fused) and not round_out
+                tops_exact = round_out or round_fused
+                tops = fused.tops
+            if tops_exact:
+                exact.update(tops)
+            else:
+                exact.difference_update(tops)
+            steps.append((layer, fused, swap, round_out, round_fused))
             i += 2 if fused is not None else 1
 
         refcount: dict[str, int] = {}
-        for layer, _ in steps:
+        for layer, *_ in steps:
             for b in layer.bottoms:
                 refcount[b] = refcount.get(b, 0) + 1
-        self._plan_cache[capture] = (steps, refcount)
-        return steps, refcount
+        plan = (steps, refcount, keep)
+        self._plan_cache[key] = plan
+        while len(self._plan_cache) > _PLAN_CACHE_SIZE:
+            del self._plan_cache[next(iter(self._plan_cache))]
+        return plan
 
     def forward(self, x: np.ndarray,
                 policy: Optional[PrecisionPolicy] = None,
@@ -236,7 +285,12 @@ class Network:
             self, x: np.ndarray, policy: Optional[PrecisionPolicy] = None,
             capture: Sequence[str] = (),
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Like :meth:`forward`, also returning requested blob values."""
+        """Like :meth:`forward`, also returning requested blob values.
+
+        Every name in *capture* must be a blob of this network (else
+        :class:`GraphError`); the input blob is returned as the first
+        layer sees it, after any input quantisation.
+        """
         policy = policy or PrecisionPolicy.fp32()
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 4:
@@ -246,6 +300,12 @@ class Network:
             raise ShapeError(
                 f"input shape {x.shape[1:]} != network geometry "
                 f"({expected.c}, {expected.h}, {expected.w})")
+        # The plan carries fused Conv+ReLU steps, which outputs to
+        # round, and the blob reference counts that let us free dead
+        # activations as we sweep — peak memory stays near the true
+        # working set.
+        steps, base_refcount, keep = self._exec_plan(
+            frozenset(capture), policy)
 
         if policy.quantize_input_blob:
             # Host-side FP16 input conversion (the OpenEXR step); the
@@ -256,19 +316,15 @@ class Network:
             x = policy.quantize_activation_array(x)
         blobs: dict[str, np.ndarray] = {self.input_blob: x}
         captured: dict[str, np.ndarray] = {}
-        # The plan carries fused Conv+ReLU steps and the blob
-        # reference counts that let us free dead activations as we
-        # sweep — peak memory stays near the true working set.
-        steps, base_refcount = self._exec_plan(frozenset(capture))
+        if self.input_blob in keep:
+            captured[self.input_blob] = x
         refcount = dict(base_refcount)
-        keep = set(capture) | {self.output_blob}
 
-        for layer, fused in steps:
+        for layer, fused, swap, round_out, round_fused in steps:
             bottoms = layer.bottoms
             inputs = [blobs[b] for b in bottoms]
             saved_params = None
-            applies = policy.applies_to(layer.name)
-            if policy.quantize_weights and layer.params and applies:
+            if swap and layer.params:
                 saved_params = layer.params
                 layer.params = self._params_for(layer, policy)
             try:
@@ -279,7 +335,7 @@ class Network:
             if fused is None:
                 for top, out in zip(layer.tops, outputs):
                     out = np.asarray(out, dtype=np.float32)
-                    if applies:
+                    if round_out:
                         out = policy.quantize_activation_array(out)
                     blobs[top] = out
                     if top in keep:
@@ -288,10 +344,10 @@ class Network:
                 # Fused Conv+ReLU: rectify in place on the conv
                 # output (freshly allocated, so mutation is safe).
                 out = np.asarray(outputs[0], dtype=np.float32)
-                if applies:
+                if round_out:
                     out = policy.quantize_activation_array(out)
                 np.maximum(out, 0.0, out=out)
-                if policy.applies_to(fused.name):
+                if round_fused:
                     out = policy.quantize_activation_array(out)
                 top = fused.tops[0]
                 blobs[top] = out

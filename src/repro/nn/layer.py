@@ -74,6 +74,12 @@ class Layer:
         """Compute top blobs from bottom blobs (float32 in, float32 out)."""
         raise NotImplementedError
 
+    #: Whether every output element is an input element or ``+0``.
+    #: Such a layer never creates a value its inputs could not hold,
+    #: so when every input is exact in binary16 its outputs are too
+    #: and the FP16 executor skips rounding them again.
+    copies_values: bool = False
+
     # -- cost model -----------------------------------------------------------
     def macs(self, input_shapes: Sequence[BlobShape]) -> int:
         """Multiply-accumulate operations per forward pass (whole batch)."""

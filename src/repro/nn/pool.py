@@ -62,6 +62,10 @@ class Pooling(Layer):
         oh, ow = pool_output_hw(s.h, s.w, k, stride, pad)
         return [BlobShape(s.n, s.c, oh, ow)]
 
+    @property
+    def copies_values(self) -> bool:
+        return self.method is PoolMethod.MAX
+
     def forward(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         x = inputs[0]
         n, c, h, w = x.shape
@@ -70,33 +74,25 @@ class Pooling(Layer):
         oh, ow = pool_output_hw(h, w, k, stride, pad)
 
         if self.method is PoolMethod.MAX:
-            fill = np.float32(-np.inf)
-        else:
-            fill = np.float32(0.0)
-        xp = np.full((n, c, h + 2 * pad + k, w + 2 * pad + k), fill,
-                     dtype=x.dtype)
+            # Separable max: fold the k column taps, then the k row
+            # taps.  np.maximum returns its second operand on ties, so
+            # which of +-0.0 survives depends on fold order; columns
+            # first, rows second keeps the row-major window order.
+            cols = _max_fold(x, 3, ow, k, stride, pad)
+            return [_max_fold(cols, 2, oh, k, stride, pad)]
+
+        xp = np.zeros((n, c, h + 2 * pad + k, w + 2 * pad + k),
+                      dtype=x.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x
-
-        # Each (di, dj) window offset is a strided *view* of the padded
-        # input — no per-offset gather copies.  Max pooling folds the
-        # views with a running in-place maximum (exact in any order);
-        # average pooling still stacks and uses NumPy's pairwise sum so
-        # results stay bit-identical to the stacked reduction.
-        def window(di: int, dj: int) -> np.ndarray:
-            return xp[:, :, di:di + stride * (oh - 1) + 1:stride,
-                      dj:dj + stride * (ow - 1) + 1:stride]
-
-        if self.method is PoolMethod.MAX:
-            out = np.array(window(0, 0))
-            for di in range(k):
-                for dj in range(k):
-                    if di or dj:
-                        np.maximum(out, window(di, dj), out=out)
-            return [out]
+        # Each (di, dj) window offset is a strided view of the
+        # zero-padded input; the k*k views are stacked and reduced with
+        # NumPy's pairwise sum.
         stack = np.empty((k * k, n, c, oh, ow), dtype=x.dtype)
         for di in range(k):
             for dj in range(k):
-                stack[di * k + dj] = window(di, dj)
+                stack[di * k + dj] = xp[
+                    :, :, di:di + stride * (oh - 1) + 1:stride,
+                    dj:dj + stride * (ow - 1) + 1:stride]
         # Caffe averages over the full k*k window including padding.
         return [stack.sum(axis=0) / np.float32(k * k)]
 
@@ -105,3 +101,39 @@ class Pooling(Layer):
         s = input_shapes[0]
         k, _, _ = self._geometry(s)
         return out.count * k * k
+
+
+def _max_fold(x: np.ndarray, axis: int, out_len: int, kernel: int,
+              stride: int, pad: int) -> np.ndarray:
+    """Max over the *kernel* taps of each pooling window along *axis*.
+
+    Output ``o`` reads input ``o * stride + d - pad`` for tap ``d``.
+    Each tap touches only the output range whose input index lies in
+    ``[0, size)``, so padding and ceil-mode overhang drop out with no
+    padded copy.  An output's first in-range tap is copied and later
+    taps are folded in as ``np.maximum(acc, tap)``, in tap order.
+    """
+    size = x.shape[axis]
+    shape = list(x.shape)
+    shape[axis] = out_len
+    out = np.empty(shape, dtype=x.dtype)
+    lead = (slice(None),) * axis
+    filled = out_len  # lowest output already holding a tap (none yet)
+    for d in range(kernel):
+        lo = max(0, -((d - pad) // stride))
+        hi = min(out_len, -((d - pad - size) // stride))
+        if lo >= hi:
+            continue
+        start = lo * stride + d - pad
+        src = x[lead + (slice(start, start + stride * (hi - lo - 1) + 1,
+                              stride),)]
+        first = min(filled, hi)
+        if lo < first:
+            out[lead + (slice(lo, first),)] = src[
+                lead + (slice(0, first - lo),)]
+        if first < hi:
+            acc = out[lead + (slice(first, hi),)]
+            np.maximum(acc, src[lead + (slice(first - lo, None),)],
+                       out=acc)
+        filled = min(filled, lo)
+    return out

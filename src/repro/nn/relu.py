@@ -35,6 +35,10 @@ class ReLU(Layer):
         return [np.where(x > 0, x, x * self.negative_slope).astype(
             x.dtype, copy=False)]
 
+    @property
+    def copies_values(self) -> bool:
+        return self.negative_slope == 0.0
+
     def macs(self, input_shapes: Sequence[BlobShape]) -> int:
         # One compare per element; count as one op for roofline purposes.
         return input_shapes[0].count

@@ -48,9 +48,9 @@ def round_fp16(x: np.ndarray) -> np.ndarray:
     """Round through binary16 and widen back to float32.
 
     This is the *quantisation* operator used by the FP16 execution
-    policy: every intermediate tensor of a VPU layer passes through it,
-    so rounding error accumulates exactly as it would on hardware that
-    stores activations in half precision.
+    policy: every intermediate tensor of a VPU layer is rounded through
+    it once, so rounding error accumulates exactly as it would on
+    hardware that stores activations in half precision.
     """
     arr = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore"):

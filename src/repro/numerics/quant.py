@@ -4,9 +4,11 @@ A :class:`PrecisionPolicy` tells the NN execution engine which dtype a
 device computes in and where rounding happens.  The CPU/GPU baselines
 use :meth:`PrecisionPolicy.fp32` (no rounding); the VPU path uses
 :meth:`PrecisionPolicy.fp16`, which rounds weights once at graph-compile
-time and every activation tensor after each layer — matching how the
-NCSDK compiler stores FP16 weights in the graph file and the SHAVEs
-write FP16 activations back to CMX.
+time and every activation blob, so each holds binary16 values —
+matching how the NCSDK compiler stores FP16 weights in the graph file
+and the SHAVEs write FP16 activations back to CMX.  The executor rounds
+each blob once: an output that only copies already-rounded values
+(ReLU, MAX pooling, Concat, Dropout) is exact and is not rounded again.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class PrecisionPolicy:
         Round parameters through binary16 when a graph is compiled for
         the device.
     quantize_activations:
-        Round each layer's output through binary16 before the next
-        layer consumes it.
+        Each layer's output holds binary16 values before the next
+        layer consumes it (rounded, unless it is already exact).
     accumulate_fp32:
         Inner products accumulate in FP32 even under FP16 storage —
         true for the Myriad 2 VAU, whose accumulators are wider than

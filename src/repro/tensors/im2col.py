@@ -149,6 +149,10 @@ def conv2d_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                 stride: int, pad: int) -> np.ndarray:
     """Convolution via im2col + GEMM.
 
+    A 1x1 convolution with stride 1 and no padding skips the gather:
+    its patch matrix is a reshape of the input, so the GEMM reads
+    ``x`` directly.
+
     The output dtype always equals the input dtype: the GEMM runs in
     the promoted precision of ``(x, weight)`` and the bias is cast to
     the output dtype before the in-place add, so a float16 input can
@@ -172,16 +176,25 @@ def conv2d_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     n = x.shape[0]
     out_h, out_w = conv_output_hw(x.shape[2], x.shape[3], kh, stride, pad)
 
-    patches = im2col(x, kh, stride, pad)          # (N, C*K*K, OH*OW)
+    if kh == 1 and stride == 1 and pad == 0:
+        # A 1x1/s1/p0 patch matrix is the input itself: (N, C, H*W).
+        patches = x.reshape(n, c_in, out_h * out_w)
+    else:
+        patches = im2col(x, kh, stride, pad)      # (N, C*K*K, OH*OW)
     wmat = weight.reshape(k_out, -1)              # (K_out, C*K*K)
+    if not x.dtype == wmat.dtype == bias.dtype == np.float32:
+        # Mixed or half precision: the GEMM runs in the promoted
+        # precision and the bias joins in the output dtype.
+        acc_dtype = np.promote_types(x.dtype, wmat.dtype)
+        wmat = wmat.astype(acc_dtype, copy=False)
+        patches = patches.astype(acc_dtype, copy=False)
+        bias = bias.astype(x.dtype, copy=False)
     # (K_out, C*K*K) @ (N, C*K*K, OH*OW) -> (N, K_out, OH*OW), into a
-    # preallocated accumulator in the promoted working precision.
-    acc_dtype = np.promote_types(x.dtype, wmat.dtype)
-    out = np.empty((n, k_out, patches.shape[2]), dtype=acc_dtype)
-    np.matmul(wmat.astype(acc_dtype, copy=False),
-              patches.astype(acc_dtype, copy=False), out=out)
+    # preallocated accumulator.
+    out = np.empty((n, k_out, patches.shape[2]), dtype=wmat.dtype)
+    np.matmul(wmat, patches, out=out)
     out = out.astype(x.dtype, copy=False)
-    out += bias.reshape(1, -1, 1).astype(x.dtype, copy=False)
+    out += bias.reshape(1, -1, 1)
     assert out.dtype == x.dtype, (
         f"conv2d_gemm output dtype {out.dtype} != input {x.dtype}")
     return out.reshape(n, k_out, out_h, out_w)

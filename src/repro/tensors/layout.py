@@ -76,17 +76,19 @@ def pool_output_hw(in_h: int, in_w: int, kernel: int, stride: int,
     """Output spatial size of pooling (Caffe ceil semantics).
 
     Caffe additionally clips the last window so it starts inside the
-    padded input; we replicate that adjustment.
+    padded input.  Caffe applies the clip only when ``pad > 0``; here it
+    applies for every pad, so that with ``kernel < stride`` no ceil-mode
+    window starts past the input (with ``kernel >= stride`` the clip
+    never fires at pad 0, so every zoo geometry matches Caffe).
     """
     _validate_geometry(in_h, in_w, kernel, stride, pad)
     out_h = int(math.ceil((in_h + 2 * pad - kernel) / stride)) + 1
     out_w = int(math.ceil((in_w + 2 * pad - kernel) / stride)) + 1
-    if pad > 0:
-        # Last pooling window must start strictly before pad+input end.
-        if (out_h - 1) * stride >= in_h + pad:
-            out_h -= 1
-        if (out_w - 1) * stride >= in_w + pad:
-            out_w -= 1
+    # Last pooling window must start strictly before pad+input end.
+    if (out_h - 1) * stride >= in_h + pad:
+        out_h -= 1
+    if (out_w - 1) * stride >= in_w + pad:
+        out_w -= 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(
             f"pool produces empty output: in={in_h}x{in_w} k={kernel} "

@@ -135,6 +135,26 @@ def test_forward_with_blobs_capture():
     np.testing.assert_array_equal(out, net.forward(x))
 
 
+def test_forward_with_blobs_rejects_unknown_capture():
+    net = _tiny_net()
+    x = np.zeros((1, 2, 4, 4))
+    with pytest.raises(GraphError, match="no_such_blob"):
+        net.forward_with_blobs(x, capture=["data", "no_such_blob"])
+
+
+def test_forward_with_blobs_captures_input_as_seen():
+    net = _tiny_net()
+    x = np.random.default_rng(5).normal(size=(1, 2, 4, 4))
+    _, fp32 = net.forward_with_blobs(x, capture=["data"])
+    np.testing.assert_array_equal(fp32["data"], x.astype(np.float32))
+    _, fp16 = net.forward_with_blobs(x, PrecisionPolicy.fp16(),
+                                     capture=["data"])
+    assert sorted(fp16) == ["data", "prob"]
+    # The FP16 network sees its input after the host-side conversion.
+    np.testing.assert_array_equal(
+        fp16["data"], x.astype(np.float16).astype(np.float32))
+
+
 def test_predict_returns_labels_and_confidences():
     net = _tiny_net()
     x = np.random.default_rng(4).normal(size=(5, 2, 4, 4))

@@ -149,6 +149,19 @@ def test_max_pool_with_padding_ignores_pad():
     assert np.all(out == -1)
 
 
+@pytest.mark.parametrize("method", [PoolMethod.MAX, PoolMethod.AVE])
+@pytest.mark.parametrize("h,w", [(2, 2), (5, 7)])
+def test_pool_kernel_below_stride_forward_matches_shapes(method, h, w):
+    # Ceil mode would start a window past the input; the clip keeps
+    # every window inside it, for pad 0 as well.
+    p = Pooling("p", "a", "b", method=method, kernel_size=1, stride=3)
+    x = np.arange(h * w, dtype=np.float32).reshape(1, 1, h, w)
+    out = p.forward([x])[0]
+    (shape,) = p.output_shapes([BlobShape(1, 1, h, w)])
+    assert out.shape == (shape.n, shape.c, shape.h, shape.w)
+    np.testing.assert_array_equal(out[0, 0], x[0, 0, ::3, ::3])
+
+
 def test_global_pooling_any_size():
     p = Pooling("p", "a", "b", method=PoolMethod.AVE,
                 global_pooling=True)

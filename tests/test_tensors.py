@@ -70,6 +70,13 @@ def test_pool_pad_clipping():
     assert out_h == 3
 
 
+def test_pool_clip_applies_without_padding():
+    # k=1 < s=3: ceil mode gives 2, but a second window would start at
+    # 3, past the 2-wide input.
+    assert pool_output_hw(2, 2, 1, 3, 0) == (1, 1)
+    assert pool_output_hw(5, 7, 1, 3, 0) == (2, 3)
+
+
 def test_geometry_validation():
     with pytest.raises(ShapeError):
         conv_output_hw(0, 4, 3, 1, 0)
