@@ -9,34 +9,28 @@ several frame rates into 1-8 sticks running paper-scale GoogLeNet and
 reports those numbers — including the knee where the rig stops keeping
 up and starts dropping frames.
 
+The camera is a constant-rate trace (one frame every ``1 / fps``
+seconds) served open-loop by :class:`~repro.serve.InferenceServer`,
+one backend per stick, so a full queue turns frames away at the door
+(``reject-newest``) instead of stalling the camera.
+
 Run:  python examples/edge_streaming.py
 """
 
 from repro.harness.experiment import paper_timing_graph
-from repro.ncs import NCAPI, paper_testbed_topology
-from repro.ncsw import StreamingPipeline
-from repro.sim import Environment
+from repro.ncsw import IntelVPU
+from repro.serve import InferenceServer, TraceWorkload
 
 
 def stream(devices: int, fps: float, frames: int = 240,
            queue_depth: int = 4):
-    env = Environment()
-    topo = paper_testbed_topology(env, num_devices=devices)
-    api = NCAPI(env, topo, functional=False)
     graph = paper_timing_graph()
-
-    def scenario():
-        opens = [api.open_device(i) for i in range(devices)]
-        handles = yield env.all_of(opens)
-        devs = [handles[ev] for ev in opens]
-        allocs = [d.allocate_compiled(graph) for d in devs]
-        graphs = yield env.all_of(allocs)
-        pipeline = StreamingPipeline(
-            env, [graphs[ev] for ev in allocs], fps=fps,
-            queue_depth=queue_depth)
-        return (yield pipeline.run(frames))
-
-    return env.run(until=env.process(scenario()))
+    server = InferenceServer(queue_depth=queue_depth, slo_seconds=None)
+    for i in range(devices):
+        server.add_target(f"ncs{i}", IntelVPU(graph=graph, num_devices=1,
+                                              functional=False))
+    camera = TraceWorkload([i / fps for i in range(frames)])
+    return server.run(camera, frames)
 
 
 def main() -> None:
@@ -48,16 +42,15 @@ def main() -> None:
                          (4, 30), (4, 60),
                          (8, 60), (8, 90)]:
         r = stream(devices, fps)
-        print(f"{devices:>6} {fps:>7.0f}Hz {r.sustained_fps:>9.1f}f "
-              f"{r.drop_rate:>6.1%} "
-              f"{r.latency_percentile(50) * 1000:>8.1f} "
-              f"{r.latency_percentile(95) * 1000:>8.1f}")
+        print(f"{devices:>6} {fps:>7.0f}Hz {r.throughput:>9.1f}f "
+              f"{r.loss_rate:>6.1%} {r.p50 * 1000:>8.1f} "
+              f"{r.p95 * 1000:>8.1f}")
 
     print("\nqueue-depth trade-off (1 stick, 30 Hz offered):")
     for depth in (1, 2, 4, 8):
         r = stream(1, 30, queue_depth=depth)
-        print(f"  depth {depth}: {r.drop_rate:5.1%} dropped, "
-              f"p95 latency {r.latency_percentile(95) * 1000:7.1f} ms")
+        print(f"  depth {depth}: {r.loss_rate:5.1%} dropped, "
+              f"p95 latency {r.p95 * 1000:7.1f} ms")
     print("\n(deeper queues trade latency for fewer drops — the "
           "classic live-pipeline knob)")
 

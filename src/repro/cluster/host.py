@@ -1,16 +1,15 @@
 """One simulated serving host (an MPI rank) in the cluster.
 
-A :class:`HostRank` is a full single-host serving pipeline — admission
-queue, dynamic batcher, router, one backend target — fed by an ingest
-process that drains the host's :class:`~repro.mpi.stream.StreamWindow`
-shard channel.  It reuses the ``repro.serve`` components verbatim,
-namespaced under ``rank<N>`` so per-host queues, batchers and backends
-stay distinguishable in one observability session.
+A :class:`HostRank` is one :class:`~repro.serve.stage.ServingStage`
+over the host's target, namespaced under ``rank<N>`` so per-host
+queues, batchers and backends stay distinguishable in one
+observability session, fed by an ingest process that drains the
+host's :class:`~repro.mpi.stream.StreamWindow` shard channel.
 
-Resolution flows upward: every terminal state (completed, shed,
-rejected, timed out, abandoned) is tallied here *and* reported to the
-cluster frontend via ``on_resolve``, whose ownership ledger enforces
-the cluster-wide exactly-once invariant.
+Resolution flows upward: the stage tallies every terminal state
+(completed, shed, rejected, timed out, abandoned) and the host reports
+each one to the cluster frontend via ``on_resolve``, whose ownership
+ledger enforces the cluster-wide exactly-once invariant.
 
 Death is a first-class state: :meth:`kill` tears the whole rank down
 mid-flight — the shard channel is aborted, the ingest interrupted,
@@ -26,18 +25,10 @@ from repro.errors import FrameworkError
 from repro.mpi.stream import StreamWindow
 from repro.ncsw.faults import FailureEvent
 from repro.ncsw.targets import TargetDevice
-from repro.serve.batcher import DynamicBatcher
-from repro.serve.queue import BLOCK, AdmissionQueue
-from repro.serve.router import Backend, Router
+from repro.serve.queue import BLOCK
 from repro.serve.slo import ServeResult
-from repro.serve.workload import (
-    ABANDONED,
-    COMPLETED,
-    REJECTED,
-    SHED,
-    TIMED_OUT,
-    Request,
-)
+from repro.serve.stage import DEFAULT_MAX_WAIT_S, ServingStage
+from repro.serve.workload import Request
 from repro.sim.core import Environment, Event, Interrupt, Process
 
 
@@ -51,9 +42,7 @@ class HostRank:
                  queue_depth: Optional[int] = 64,
                  admission: str = "reject-newest",
                  max_batch_size: Optional[int] = None,
-                 max_wait_s: float = 0.002,
-                 max_redirects: int = 1,
-                 ewma_alpha: float = 0.2) -> None:
+                 max_wait_s: float = DEFAULT_MAX_WAIT_S) -> None:
         if rank < 1:
             raise FrameworkError(
                 f"host ranks start at 1 (rank 0 is the frontend), "
@@ -61,36 +50,16 @@ class HostRank:
         self.env = env
         self.rank = rank
         self.name = name
-        self.target = target
         self.stream = stream
         self.on_resolve = on_resolve
-        prefix = f"rank{rank}"
-        self.metrics_prefix = prefix
-        self.queue = AdmissionQueue(env, depth=queue_depth,
-                                    policy=admission,
-                                    on_drop=self._resolve_dropped,
-                                    name=prefix)
-        self.backend = Backend(env, name, target,
-                               metrics_prefix=prefix)
-        self.router = Router(env, [self.backend],
-                             max_redirects=max_redirects,
-                             ewma_alpha=ewma_alpha,
-                             on_complete=self._complete,
-                             on_abandon=self._resolve_dropped,
-                             metrics_prefix=prefix)
-        self.batcher = DynamicBatcher(env, self.queue, self.router,
-                                      max_batch_size=max_batch_size,
-                                      max_wait_s=max_wait_s,
-                                      on_timeout=self._resolve_dropped,
-                                      metrics_prefix=prefix)
-        # -- terminal-state tallies (this host's ServeResult) ---------
-        self.completed = 0
-        self.shed = 0
-        self.rejected = 0
-        self.timed_out = 0
-        self.abandoned = 0
-        #: Every request this host resolved, in resolution order.
-        self.resolved: list[Request] = []
+        self.stage = ServingStage(env, {name: target},
+                                  name=f"rank{rank}",
+                                  queue_depth=queue_depth,
+                                  admission=admission,
+                                  max_batch_size=max_batch_size,
+                                  max_wait_s=max_wait_s,
+                                  on_complete=self._complete,
+                                  on_drop=self._resolve_dropped)
         self.dead = False
         self.died_at: Optional[float] = None
         self.failure: Optional[FailureEvent] = None
@@ -108,26 +77,20 @@ class HostRank:
         #: Sim time a scale-in drain completed, or None.
         self.drained_at: Optional[float] = None
         self._ingest_proc: Optional[Process] = None
-        self._batcher_proc: Optional[Event] = None
-        self._worker_procs: list[Event] = []
         self._lifecycle_proc: Optional[Event] = None
 
     # -- lifecycle -------------------------------------------------------
-    def prepare(self) -> Event:
-        """Boot the host's target (sticks, graph, warm-up)."""
-        return self.target.prepare(self.env)
-
     def start(self) -> Event:
-        """Fork ingest + batcher + backend; returns the lifecycle
+        """Fork the stage and the ingest; returns the lifecycle
         process, which completes at orderly shutdown or death."""
-        self._worker_procs = self.router.start()
-        self._batcher_proc = self.batcher.run()
+        self.stage.start()
         self._ingest_proc = self.env.process(self._ingest())
         self._lifecycle_proc = self.env.process(self._lifecycle())
         return self._lifecycle_proc
 
     def _ingest(self) -> Generator[Event, None, None]:
         """Drain the shard channel into the admission queue."""
+        queue = self.stage.queue
         try:
             while True:
                 item = yield self.stream.pop()
@@ -137,8 +100,8 @@ class HostRank:
                     # Straggler raced the abort; the frontend already
                     # re-sharded it, so it must not enter this queue.
                     continue
-                event = self.queue.offer(item)
-                if (self.queue.policy == BLOCK and event is not None
+                event = queue.offer(item)
+                if (queue.policy == BLOCK and event is not None
                         and not event.triggered):
                     # Blocking admission: stop popping until the put
                     # lands, so backpressure reaches the shard channel
@@ -147,16 +110,14 @@ class HostRank:
         except Interrupt:
             return  # killed while waiting: channel already aborted
         if not self.dead:
-            self.queue.close()
+            self.stage.close()
 
     def _lifecycle(self) -> Generator[Event, None, None]:
         """Orderly shutdown after the stream closes (live hosts)."""
         yield self._ingest_proc
         if self.dead:
             return  # batcher/backend were halted, not drained
-        yield self._batcher_proc
-        self.router.close()
-        yield self.env.all_of(self._worker_procs)
+        yield from self.stage.shutdown()
 
     def kill(self) -> None:
         """Tear the whole rank down mid-flight (host failure).
@@ -174,42 +135,23 @@ class HostRank:
         if self._ingest_proc is not None and self._ingest_proc.is_alive:
             self._ingest_proc.interrupt("host killed")
         self.stream.abort()
-        self.queue.drain()
-        self.batcher.halt()
-        self.backend.halt()
+        self.stage.halt()
 
-    # -- resolution callbacks (wired into the serve components) ---------
+    # -- resolution callbacks (the stage's owner hooks) ------------------
     def _resolve_dropped(self, request: Request) -> None:
         """A request reached a non-completed terminal state here."""
-        if request.status == SHED:
-            self.shed += 1
-        elif request.status == REJECTED:
-            self.rejected += 1
-        elif request.status == TIMED_OUT:
-            self.timed_out += 1
-        elif request.status == ABANDONED:
-            self.abandoned += 1
-        else:  # pragma: no cover - defensive
-            raise FrameworkError(
-                f"request {request.request_id} dropped in "
-                f"non-terminal state {request.status!r}")
-        self.resolved.append(request)
         self.on_resolve(self, request)
 
-    def _complete(self, batch: list[Request]) -> None:
-        """A batch completed on this host's backend."""
+    def _complete(self, request: Request) -> None:
+        """A request completed on this host's backend."""
         obs = self.env.obs
-        for request in batch:
-            self.completed += 1
-            self.resolved.append(request)
-            if obs is not None:
-                obs.metrics.counter(
-                    f"{self.metrics_prefix}.completed").inc()
-                if request.e2e_latency is not None:
-                    obs.metrics.histogram(
-                        f"{self.metrics_prefix}.e2e_seconds").observe(
-                            request.e2e_latency)
-            self.on_resolve(self, request)
+        if obs is not None:
+            prefix = self.stage.name
+            obs.metrics.counter(f"{prefix}.completed").inc()
+            if request.e2e_latency is not None:
+                obs.metrics.histogram(f"{prefix}.e2e_seconds").observe(
+                    request.e2e_latency)
+        self.on_resolve(self, request)
 
     # -- accounting ------------------------------------------------------
     def result(self, slo_seconds: Optional[float],
@@ -224,22 +166,10 @@ class HostRank:
         trimming happens at cluster level, over the merged completion
         order, not per shard.
         """
-        failures = list(self.target.fault_stats().events)
-        if self.failure is not None:
-            failures.append(self.failure)
-        requests = sorted(self.resolved,
+        requests = sorted(self.stage.resolved,
                           key=lambda r: (r.arrival_time, r.request_id))
-        return ServeResult(
-            offered=len(requests),
-            completed=self.completed,
-            shed=self.shed,
-            rejected=self.rejected,
-            timed_out=self.timed_out,
-            abandoned=self.abandoned,
-            wall_seconds=wall_seconds,
-            prepare_seconds=prepare_seconds,
-            slo_seconds=slo_seconds,
-            requests=requests,
-            failures=failures,
-            warmup=0,
-        )
+        return self.stage.result(
+            requests, wall_seconds=wall_seconds,
+            prepare_seconds=prepare_seconds, slo_seconds=slo_seconds,
+            failures=[self.failure] if self.failure is not None
+            else ())

@@ -73,7 +73,7 @@ from repro.ncsw.faults import DEATH, FailureEvent, FaultPlan
 from repro.ncsw.targets import TargetDevice
 from repro.serve.queue import POLICIES as ADMISSION_POLICIES
 from repro.serve.queue import REJECT_NEWEST
-from repro.serve.server import DEFAULT_MAX_WAIT_S
+from repro.serve.stage import DEFAULT_MAX_WAIT_S, open_loop
 from repro.serve.workload import ABANDONED, COMPLETED, Request, Workload
 from repro.sim.core import Environment, Event
 
@@ -130,8 +130,6 @@ class ClusterServer:
                  max_wait_s: float = DEFAULT_MAX_WAIT_S,
                  slo_seconds: Optional[float] = 0.250,
                  deadline_seconds: Optional[float] = None,
-                 max_redirects: int = 1,
-                 ewma_alpha: float = 0.2,
                  warmup: int = 0,
                  host_faults: Optional[FaultPlan] = None,
                  autoscaler: Optional[Autoscaler] = None,
@@ -210,8 +208,6 @@ class ClusterServer:
         self.max_wait_s = max_wait_s
         self.slo_seconds = slo_seconds
         self.deadline_seconds = deadline_seconds
-        self.max_redirects = max_redirects
-        self.ewma_alpha = ewma_alpha
         self.warmup = warmup
         self.host_faults = host_faults
         self.autoscaler = autoscaler
@@ -312,7 +308,8 @@ class ClusterServer:
                     env.process(self._inject_scale_action(action))
             if self.autoscaler is not None:
                 env.process(self.autoscaler.run(self))
-            yield env.process(self._arrivals(requests))
+            yield env.process(open_loop(env, requests, "cluster",
+                                        self._dispatch))
             yield self._all_resolved
             self._finished = True
             wall = env.now - t0
@@ -329,7 +326,6 @@ class ClusterServer:
 
         wall, epoch = env.run(until=env.process(main()))
 
-        total_completed = sum(h.completed for h in self.hosts)
         shards = [HostShard(rank=h.rank, name=h.name,
                             result=h.result(self.slo_seconds, wall,
                                             epoch),
@@ -344,7 +340,8 @@ class ClusterServer:
             wall_seconds=wall,
             prepare_seconds=epoch,
             slo_seconds=self.slo_seconds,
-            warmup=min(self.warmup, total_completed),
+            warmup=min(self.warmup, sum(shard.result.completed
+                                        for shard in shards)),
             frontend_abandoned=len(self._abandoned),
             abandoned_requests=self._abandoned,
             failures=self.failures,
@@ -382,9 +379,7 @@ class ClusterServer:
             queue_depth=self.queue_depth,
             admission=self.admission,
             max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-            max_redirects=self.max_redirects,
-            ewma_alpha=self.ewma_alpha)
+            max_wait_s=self.max_wait_s)
         host.slot = slot.index
         host.activated_at = env.now
         slot.host = host
@@ -600,25 +595,6 @@ class ClusterServer:
         self.drain_host(host, reason=f"plan @ {action.at:g}s")
 
     # -- arrivals and routing -------------------------------------------
-    def _arrivals(self, requests: list[Request]
-                  ) -> Generator[Event, None, None]:
-        """Open-loop arrivals, rebased onto the sim clock at rank 0."""
-        env = self._env
-        obs = env.obs
-        epoch = env.now
-        for request in requests:
-            request.arrival_time += epoch
-            if request.deadline_at is not None:
-                request.deadline_at += epoch
-            if request.arrival_time > env.now:
-                yield env.timeout(request.arrival_time - env.now)
-            if obs is not None:
-                obs.metrics.counter("cluster.offered").inc()
-                obs.reqtrace.begin(
-                    request, track="cluster",
-                    t=obs.tracer.timestamp(request.arrival_time))
-            self._dispatch(request)
-
     def _dispatch(self, request: Request) -> Optional[Event]:
         """Shard one request; abandon it when no live host remains."""
         host = self._route(request)

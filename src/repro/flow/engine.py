@@ -3,9 +3,7 @@
 :class:`FlowCoordinator` executes a
 :class:`~repro.flow.compiler.CompiledWorkflow` against an open-loop
 workload.  Every :class:`~repro.flow.steps.InferStep` gets its *own*
-serving stack — an :class:`~repro.serve.queue.AdmissionQueue`, a
-:class:`~repro.serve.batcher.DynamicBatcher` and a
-:class:`~repro.serve.router.Router` over fresh targets — so each
+:class:`~repro.serve.stage.ServingStage` over fresh targets, so each
 stage batches independently: the batcher asks its own router for the
 next backend's ``preferred_batch_size``, which means a VPU detect
 stage forms stick-count windows while a CPU classify stage fills
@@ -46,14 +44,12 @@ from repro.flow.result import (FanOutAccount, StageResult,
                                WorkflowRequest, WorkflowResult)
 from repro.flow.steps import (BranchStep, FanOutStep, InferStep, Item,
                               JoinStep, Step, TransformStep)
-from repro.ncsw.faults import FailureEvent
-from repro.serve.batcher import DynamicBatcher
 from repro.serve.queue import POLICIES as ADMISSION_POLICIES
-from repro.serve.queue import REJECT_NEWEST, AdmissionQueue
-from repro.serve.router import ROUND_ROBIN, Backend, Router
-from repro.serve.server import DEFAULT_MAX_WAIT_S
-from repro.serve.slo import ServeResult
-from repro.serve.workload import ABANDONED, COMPLETED, Request, Workload
+from repro.serve.queue import REJECT_NEWEST
+from repro.serve.router import ROUND_ROBIN
+from repro.serve.stage import DEFAULT_MAX_WAIT_S, ServingStage, open_loop
+from repro.serve.workload import (ABANDONED, COMPLETED, TERMINAL_STATES,
+                                  Request, Workload)
 from repro.sim.core import Environment, Event
 
 
@@ -89,36 +85,23 @@ class _Token:
     trace: Optional[object] = None
 
 
-class _Stage:
-    """One InferStep's private serving stack inside a run."""
+class _Stage(ServingStage):
+    """One InferStep's private serving stage inside a run."""
 
     def __init__(self, run: "_FlowRun", step: InferStep) -> None:
-        env = run.env
         cfg = run.coordinator
+        super().__init__(
+            run.env, step.make_targets(), name=f"flow.{step.name}",
+            queue_depth=(step.queue_depth if step.queue_depth is not None
+                         else cfg.queue_depth),
+            admission=cfg.admission,
+            max_batch_size=step.max_batch_size,
+            max_wait_s=(step.max_wait_s if step.max_wait_s is not None
+                        else cfg.max_wait_s),
+            policy=cfg.policy,
+            on_complete=self._completed,
+            on_drop=self._dropped)
         self.step = step
-        self.targets = step.make_targets()
-        name = f"flow.{step.name}"
-        depth = (step.queue_depth if step.queue_depth is not None
-                 else cfg.queue_depth)
-        wait = (step.max_wait_s if step.max_wait_s is not None
-                else cfg.max_wait_s)
-        self.queue = AdmissionQueue(env, depth=depth,
-                                    policy=cfg.admission,
-                                    on_drop=self._dropped, name=name)
-        self.backends = [Backend(env, bname, target,
-                                 metrics_prefix=name)
-                         for bname, target in self.targets.items()]
-        self.router = Router(env, self.backends, policy=cfg.policy,
-                             max_redirects=cfg.max_redirects,
-                             ewma_alpha=cfg.ewma_alpha,
-                             on_complete=self._completed,
-                             on_abandon=self._dropped,
-                             metrics_prefix=name)
-        self.batcher = DynamicBatcher(env, self.queue, self.router,
-                                      max_batch_size=step.max_batch_size,
-                                      max_wait_s=wait,
-                                      on_timeout=self._dropped,
-                                      metrics_prefix=name)
         #: Every serve request submitted to this stage, in order.
         self.requests: list[Request] = []
         self._run = run
@@ -136,35 +119,13 @@ class _Stage:
         self._tokens[req.request_id] = token
         self.queue.offer(req)
 
-    def _completed(self, batch: list[Request]) -> None:
-        for req in batch:
-            token = self._tokens.pop(req.request_id)
-            self._run.on_stage_complete(self, token, req)
+    def _completed(self, req: Request) -> None:
+        token = self._tokens.pop(req.request_id)
+        self._run.on_stage_complete(self, token, req)
 
     def _dropped(self, req: Request) -> None:
         token = self._tokens.pop(req.request_id)
         self._run.on_stage_drop(token, req)
-
-    def serve_result(self, wall: float, epoch: float) -> ServeResult:
-        """Assemble this stage's ServeResult after the run."""
-        failures: list[FailureEvent] = []
-        for target in self.targets.values():
-            failures.extend(target.fault_stats().events)
-        completed = sum(1 for r in self.requests
-                        if r.status == COMPLETED)
-        return ServeResult(
-            offered=len(self.requests),
-            completed=completed,
-            shed=self.queue.shed_count,
-            rejected=self.queue.rejected_count,
-            timed_out=self.batcher.timed_out_count,
-            abandoned=self.router.abandoned_count,
-            wall_seconds=wall,
-            prepare_seconds=epoch,
-            slo_seconds=self.step.slo_seconds,
-            requests=self.requests,
-            failures=failures,
-        )
 
 
 @dataclass
@@ -194,9 +155,7 @@ class _FlowRun:
         self.fan_accounts: Dict[str, _FanAccount] = {
             fo: _FanAccount(join=jn)
             for fo, jn in self.wf.join_of.items()}
-        self.counts = {status: 0 for status in
-                       ("completed", "shed", "rejected", "timed_out",
-                        "abandoned")}
+        self.counts = dict.fromkeys(TERMINAL_STATES, 0)
         self.resolved = 0
         self.all_resolved = env.event()
         self._next_stage_id = 0
@@ -217,28 +176,15 @@ class _FlowRun:
             int.from_bytes(digest[:8], "little"))
 
     # -- arrivals --------------------------------------------------------
-    def arrivals(self) -> Generator[Event, None, None]:
-        """Open-loop arrival process (rebased onto the sim clock)."""
-        env = self.env
-        obs = env.obs
-        epoch = env.now
-        for i, flow_req in enumerate(self.flow_requests):
-            flow_req.arrival_time += epoch
-            if flow_req.deadline_at is not None:
-                flow_req.deadline_at += epoch
-            if flow_req.arrival_time > env.now:
-                yield env.timeout(flow_req.arrival_time - env.now)
-            if obs is not None:
-                obs.metrics.counter("flow.offered").inc()
-                obs.reqtrace.begin(
-                    flow_req, track="flow",
-                    t=obs.tracer.timestamp(flow_req.arrival_time))
-            token = _Token(flow_req=flow_req,
-                           item=Item(data=None,
-                                     tensor=self.payloads[i]),
-                           lineage=(flow_req.request_id,),
-                           trace=flow_req.trace)
-            self.deliver(token, self.wf.entry)
+    def admit(self, flow_req: WorkflowRequest) -> None:
+        """Start an arrived workflow request's trunk token at the
+        entry step."""
+        token = _Token(flow_req=flow_req,
+                       item=Item(data=None,
+                                 tensor=self.payloads[flow_req.request_id]),
+                       lineage=(flow_req.request_id,),
+                       trace=flow_req.trace)
+        self.deliver(token, self.wf.entry)
 
     # -- graph walking ---------------------------------------------------
     def deliver(self, token: _Token, name: str) -> None:
@@ -474,8 +420,6 @@ class FlowCoordinator:
                  policy: str = ROUND_ROBIN,
                  slo_seconds: Optional[float] = None,
                  deadline_seconds: Optional[float] = None,
-                 max_redirects: int = 1,
-                 ewma_alpha: float = 0.2,
                  warmup: int = 0,
                  obs=None) -> None:
         if not isinstance(workflow, CompiledWorkflow):
@@ -507,11 +451,9 @@ class FlowCoordinator:
         self.policy = policy
         self.slo_seconds = slo_seconds
         self.deadline_seconds = deadline_seconds
-        self.max_redirects = max_redirects
-        self.ewma_alpha = ewma_alpha
         self.warmup = warmup
         self.obs = obs
-        #: The last run's stage stacks, retained for inspection (the
+        #: The last run's serving stages, retained for inspection (the
         #: per-stage batching tests read batcher caps from here).
         self.stages: Dict[str, _Stage] = {}
 
@@ -555,36 +497,31 @@ class FlowCoordinator:
                     "prepare", track="flow",
                     stages=len(stages),
                     backends=sum(len(s.targets) for s in stages))
-            yield env.all_of([target.prepare(env)
-                              for stage in stages
-                              for target in stage.targets.values()])
+            yield env.all_of([event for stage in stages
+                              for event in stage.prepare()])
             if obs is not None:
                 obs.tracer.end(prep)
             t0 = env.now
-            worker_procs = [proc for stage in stages
-                            for proc in stage.router.start()]
-            batcher_procs = [stage.batcher.run() for stage in stages]
-            yield env.process(run.arrivals())
+            for stage in stages:
+                stage.start()
+            yield env.process(open_loop(env, flow_requests, "flow",
+                                        run.admit))
             yield run.all_resolved
             wall = env.now - t0
-            # Orderly shutdown, stage by stage: all work is resolved,
-            # so no poison pill can strand a request anywhere.
+            # All work is resolved, so no poison pill can strand a
+            # request anywhere.
             for stage in stages:
-                stage.queue.close()
-            yield env.all_of(batcher_procs)
-            for stage in stages:
-                stage.router.close()
-            yield env.all_of(worker_procs)
+                yield from stage.shutdown()
             return wall, t0
 
         wall, epoch = env.run(until=env.process(main()))
         self.stages = run.stages
 
-        stages_out = [StageResult(name=name,
-                                  result=run.stages[name].serve_result(
-                                      wall, epoch))
-                      for name in self.workflow.order
-                      if name in run.stages]
+        stages_out = [StageResult(name=name, result=stage.result(
+                          stage.requests, wall_seconds=wall,
+                          prepare_seconds=epoch,
+                          slo_seconds=stage.step.slo_seconds))
+                      for name, stage in run.stages.items()]
         fan_out = [FanOutAccount(step=fo, join=acct.join,
                                  spawned=acct.spawned,
                                  joined=acct.joined,

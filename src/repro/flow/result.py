@@ -7,8 +7,8 @@ workflow-level view: end-to-end latency percentiles over whole
 cascades, a workflow SLO, and goodput in *workflows* per second.
 
 Two invariants are enforced in the constructor, mirroring
-:class:`~repro.ncsw.pipeline.PipelineResult` and
-:class:`~repro.cluster.frontend.ClusterResult`:
+:class:`~repro.serve.slo.ServeResult` and
+:class:`~repro.cluster.result.ClusterResult`:
 
 * **exactly-once at the workflow level** — every offered workflow
   request resolves into exactly one terminal state, crosschecked

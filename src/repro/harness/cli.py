@@ -280,32 +280,11 @@ _BAR_FIGURES = {"fig6a", "fig7a"}
 
 # -- paper artefacts ------------------------------------------------------------
 
-def _cmd_list(_args: argparse.Namespace) -> int:
-    print("available experiments:")
-    for name, (desc, _) in _FIGURES.items():
-        print(f"  {name:<9} {desc}")
-    print("  headline  the paper's §IV/§V headline numbers")
-    print("  audit     verify every quantitative claim in the paper")
-    print("  report    all of the above in one run")
-    print("  profile   per-layer VPU timing report for a zoo model")
-    print("  profile-run  one instrumented run + utilisation report")
-    print("  chaos-run    seeded fault-injection sweep (kill stick k)")
-    print("  serve-run    open-loop serving run with an SLO report")
-    print("  serve-sweep  max sustainable arrival rate per config")
-    print("  split-sweep  Pareto map of two-tier layer-cut "
-          "placements")
-    print("  cluster-run  sharded multi-host serving run (MPI sim)")
-    print("  cluster-sweep  max sustainable rate per cluster size")
-    print("  autoscale-run  elastic cluster run under a diurnal day")
-    print("  autoscale-sweep  cost-vs-SLO frontier: autoscalers vs "
-          "fixed-N")
-    print("  workflow-run  multi-model workflow DAG run (cascade / "
-          "ensemble / escalate)")
-    print("  workflow-sweep  cascade vs monolithic classify at "
-          "matched rates")
-    print("  trace-analyze  offline timeline/waterfall/alert report "
-          "from a --metrics dump")
-    print("  perf-run     wall-clock perf suite (BENCH_PR9.json gate)")
+def _cmd_list(args: argparse.Namespace) -> int:
+    print("available commands:")
+    for name, parser in args.commands.items():
+        if name != "list":
+            print(f"  {name:<16} {parser.description}")
     return 0
 
 
@@ -1278,7 +1257,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func: Callable, help: str,
                 parents: Sequence[argparse.ArgumentParser] = (),
                 **defaults) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, parents=list(parents))
+        p = sub.add_parser(name, help=help, description=help,
+                           parents=list(parents))
         p.set_defaults(func=func, **defaults)
         return p
 
@@ -1296,7 +1276,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "(results identical to --jobs 1; tracing and "
                            "jitter keep the run serial)")
 
-    command("list", _cmd_list, "list available experiments")
+    # ``sub.choices`` fills in as the commands below register.
+    command("list", _cmd_list, "list the available commands",
+            commands=sub.choices)
 
     common = argparse.ArgumentParser(add_help=False,
                                      parents=[trace, jobs])

@@ -32,11 +32,6 @@ from repro.ncsw.sources import (
 from repro.ncsw.targets import TargetDevice, IntelCPU, NvGPU, IntelVPU
 from repro.ncsw.scheduler import MultiVPUScheduler
 from repro.ncsw.framework import NCSw
-from repro.ncsw.pipeline import (
-    ADMISSION_POLICIES,
-    PipelineResult,
-    StreamingPipeline,
-)
 from repro.ncsw.results import InferenceRecord, RunResult
 from repro.ncsw.faults import (
     DeviceFault,
@@ -58,9 +53,6 @@ __all__ = [
     "IntelVPU",
     "MultiVPUScheduler",
     "NCSw",
-    "StreamingPipeline",
-    "PipelineResult",
-    "ADMISSION_POLICIES",
     "InferenceRecord",
     "RunResult",
     "DeviceFault",

@@ -21,8 +21,11 @@ under load, not aggregate throughput, decides viability:
 * :mod:`slo` / :mod:`report` — per-request latency recording,
   p50/p95/p99 against a configurable SLO, goodput vs
   shed/timed-out/abandoned accounting;
-* :mod:`server` — the :class:`InferenceServer` harness wiring it all
-  onto one simulated timeline;
+* :mod:`stage` — the :class:`ServingStage`, the one wiring of queue →
+  batcher → router over backends, with the terminal-state tallies
+  every serving owner (server, cluster host, workflow stage) reports;
+* :mod:`server` — the :class:`InferenceServer` harness running one
+  stage on one simulated timeline;
 * :mod:`sweep` — bisection for the maximum sustainable arrival rate
   under a p99 SLO (the serving analogue of the paper's scaling
   study).
@@ -62,6 +65,7 @@ from repro.serve.router import (
 )
 from repro.serve.slo import ServeResult
 from repro.serve.report import render_slo_report
+from repro.serve.stage import ServingStage
 from repro.serve.server import InferenceServer
 from repro.serve.sweep import (
     SweepPoint,
@@ -95,6 +99,7 @@ __all__ = [
     "LATENCY_EWMA",
     "ServeResult",
     "render_slo_report",
+    "ServingStage",
     "InferenceServer",
     "SweepPoint",
     "SweepResult",

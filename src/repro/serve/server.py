@@ -1,8 +1,9 @@
-"""The online inference server: workload → queue → batcher → router.
+"""The online inference server: workload → one serving stage.
 
-:class:`InferenceServer` wires the serving layer together on one
-simulated timeline, NCSw-style: register named targets, then ``run``
-an open-loop workload through them.  Device preparation (stick boot,
+:class:`InferenceServer` runs one
+:class:`~repro.serve.stage.ServingStage` on one simulated timeline,
+NCSw-style: register named targets, then ``run`` an open-loop
+workload through them.  Device preparation (stick boot,
 graph allocation, host warm-up) happens before the measured window,
 exactly as the batch framework does, so serving latency numbers are
 steady-state numbers.
@@ -21,20 +22,14 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.errors import FrameworkError
-from repro.ncsw.faults import FailureEvent
 from repro.ncsw.targets import TargetDevice
-from repro.serve.batcher import DynamicBatcher
 from repro.serve.queue import POLICIES as ADMISSION_POLICIES
-from repro.serve.queue import REJECT_NEWEST, AdmissionQueue
-from repro.serve.router import ROUND_ROBIN, Backend, Router
+from repro.serve.queue import REJECT_NEWEST
+from repro.serve.router import ROUND_ROBIN
 from repro.serve.slo import ServeResult
-from repro.serve.workload import Request, Workload
+from repro.serve.stage import DEFAULT_MAX_WAIT_S, ServingStage, open_loop
+from repro.serve.workload import COMPLETED, Request, Workload
 from repro.sim.core import Environment, Event
-
-#: Maximum batcher wait (seconds) used when none is given: two
-#: milliseconds, roughly one USB transfer — long enough to fill a
-#: window under load, short enough to stay invisible in a 250 ms SLO.
-DEFAULT_MAX_WAIT_S = 0.002
 
 
 class InferenceServer:
@@ -48,8 +43,6 @@ class InferenceServer:
                  policy: str = ROUND_ROBIN,
                  slo_seconds: Optional[float] = 0.250,
                  deadline_seconds: Optional[float] = None,
-                 max_redirects: int = 1,
-                 ewma_alpha: float = 0.2,
                  warmup: int = 0,
                  obs=None) -> None:
         if admission not in ADMISSION_POLICIES:
@@ -68,8 +61,6 @@ class InferenceServer:
         self.policy = policy
         self.slo_seconds = slo_seconds
         self.deadline_seconds = deadline_seconds
-        self.max_redirects = max_redirects
-        self.ewma_alpha = ewma_alpha
         self.warmup = warmup
         self.obs = obs
         self._targets: dict[str, TargetDevice] = {}
@@ -92,152 +83,88 @@ class InferenceServer:
         env = Environment()
         if self.obs is not None:
             self.obs.attach(env)
-
-        state = _RunState(env, len(requests), warmup=self.warmup,
-                          obs=env.obs)
-        queue = AdmissionQueue(env, depth=self.queue_depth,
-                               policy=self.admission,
-                               on_drop=state.resolve)
-        backends = [Backend(env, name, target)
-                    for name, target in self._targets.items()]
-        router = Router(env, backends, policy=self.policy,
-                        max_redirects=self.max_redirects,
-                        ewma_alpha=self.ewma_alpha,
-                        on_complete=state.complete,
-                        on_abandon=state.resolve)
-        batcher = DynamicBatcher(env, queue, router,
-                                 max_batch_size=self.max_batch_size,
-                                 max_wait_s=self.max_wait_s,
-                                 on_timeout=state.resolve)
+        state = _RunState(self, env, len(requests))
+        stage = state.stage
 
         def main() -> Generator[Event, None, tuple[float, float]]:
             obs = env.obs
             prep = None
             if obs is not None:
                 prep = obs.tracer.begin("prepare", track="serve",
-                                        backends=len(backends))
-            yield env.all_of([t.prepare(env)
-                              for t in self._targets.values()])
+                                        backends=len(stage.backends))
+            yield env.all_of(stage.prepare())
             if obs is not None:
                 obs.tracer.end(prep)
             t0 = env.now
-            worker_procs = router.start()
-            batcher_proc = batcher.run()
-            yield env.process(_arrivals(env, requests, queue))
+            stage.start()
+            yield env.process(open_loop(env, requests, "serve",
+                                        stage.queue.offer))
             yield state.all_resolved
             wall = env.now - t0
-            # Orderly shutdown: pill the batcher, then the backends.
-            # All work is resolved, so no pill can strand a request.
-            queue.close()
-            yield batcher_proc
-            router.close()
-            yield env.all_of(worker_procs)
+            yield from stage.shutdown()
             return wall, t0
 
         wall, epoch = env.run(until=env.process(main()))
-
-        failures: list[FailureEvent] = []
-        for target in self._targets.values():
-            failures.extend(target.fault_stats().events)
-        return ServeResult(
-            offered=len(requests),
-            completed=state.completed,
-            shed=queue.shed_count,
-            rejected=queue.rejected_count,
-            timed_out=batcher.timed_out_count,
-            abandoned=router.abandoned_count,
-            wall_seconds=wall,
-            prepare_seconds=epoch,
+        return stage.result(
+            requests, wall_seconds=wall, prepare_seconds=epoch,
             slo_seconds=self.slo_seconds,
-            requests=requests,
-            failures=failures,
-            warmup=min(self.warmup, state.completed),
-        )
+            warmup=min(self.warmup, stage.tallies[COMPLETED]))
 
 
 class _RunState:
-    """Per-run resolution bookkeeping shared by the callbacks."""
+    """One run's serving stage plus the bookkeeping and serving
+    metrics its owner hooks keep."""
 
-    def __init__(self, env: Environment, offered: int, warmup: int,
-                 obs) -> None:
-        self.env = env
+    def __init__(self, server: InferenceServer, env: Environment,
+                 offered: int) -> None:
         self.offered = offered
-        self.warmup = warmup
-        self.obs = obs
-        self.completed = 0
-        self.resolved = 0
+        self.warmup = server.warmup
         self.all_resolved = env.event()
+        self.stage = ServingStage(
+            env, server._targets,
+            on_complete=self.complete,
+            on_drop=self.resolve,
+            queue_depth=server.queue_depth,
+            admission=server.admission,
+            max_batch_size=server.max_batch_size,
+            max_wait_s=server.max_wait_s,
+            policy=server.policy)
 
     def resolve(self, request: Request) -> None:
-        """One request reached a non-completed terminal state."""
-        self._count()
-
-    def complete(self, batch: list[Request]) -> None:
-        """A batch of requests completed; record latency metrics."""
-        obs = self.obs
-        for req in batch:
-            self.completed += 1
-            if obs is not None:
-                metrics = obs.metrics
-                if req.e2e_latency is not None:
-                    metrics.histogram("serve.e2e_seconds").observe(
-                        req.e2e_latency)
-                if req.queue_wait is not None:
-                    metrics.histogram(
-                        "serve.queue_wait_seconds").observe(
-                            req.queue_wait)
-                if req.batch_wait is not None:
-                    metrics.histogram(
-                        "serve.batch_wait_seconds").observe(
-                            req.batch_wait)
-                if req.service_seconds is not None:
-                    metrics.histogram(
-                        "serve.service_seconds").observe(
-                            req.service_seconds)
-                metrics.counter("serve.completed").inc()
-                if (self.warmup > 0
-                        and self.completed == self.warmup):
-                    # Steady-state window: drop the cold-start
-                    # transient from the serving histograms.
-                    for hist in list(metrics.histograms()):
-                        if hist.name.startswith("serve."):
-                            hist.reset()
-            self._count()
-
-    def _count(self) -> None:
-        self.resolved += 1
-        if self.resolved > self.offered:
+        """A request reached a terminal state; the last one ends the
+        run."""
+        resolved = len(self.stage.resolved)
+        if resolved > self.offered:
             raise FrameworkError(
                 "request resolved twice: serving accounting is "
                 "broken")
-        if self.resolved == self.offered:
+        if resolved == self.offered:
             self.all_resolved.succeed()
 
-
-def _arrivals(env: Environment, requests: list[Request],
-              queue: AdmissionQueue) -> Generator[Event, None, None]:
-    """Open-loop arrival process: requests land on their own clock.
-
-    Workload arrival times are offsets from serving start; they are
-    rebased onto the simulation clock here (device preparation has
-    already consumed some simulated time).  Admission never stalls
-    this loop — under the ``block`` policy the put pends in the
-    background while arrivals keep their own schedule.
-    """
-    obs = env.obs
-    epoch = env.now
-    for request in requests:
-        request.arrival_time += epoch
-        if request.deadline_at is not None:
-            request.deadline_at += epoch
-        if request.arrival_time > env.now:
-            yield env.timeout(request.arrival_time - env.now)
+    def complete(self, req: Request) -> None:
+        """A request completed; record the serving latency metrics."""
+        obs = self.stage.env.obs
         if obs is not None:
-            obs.metrics.counter("serve.offered").inc()
-            # Backdate the arrival hop to the nominal arrival time so
-            # the waterfall telescopes exactly to the e2e latency even
-            # for same-instant burst arrivals.
-            obs.reqtrace.begin(
-                request, track="serve",
-                t=obs.tracer.timestamp(request.arrival_time))
-        queue.offer(request)
+            metrics = obs.metrics
+            if req.e2e_latency is not None:
+                metrics.histogram("serve.e2e_seconds").observe(
+                    req.e2e_latency)
+            if req.queue_wait is not None:
+                metrics.histogram(
+                    "serve.queue_wait_seconds").observe(req.queue_wait)
+            if req.batch_wait is not None:
+                metrics.histogram(
+                    "serve.batch_wait_seconds").observe(req.batch_wait)
+            if req.service_seconds is not None:
+                metrics.histogram(
+                    "serve.service_seconds").observe(
+                        req.service_seconds)
+            metrics.counter("serve.completed").inc()
+            if (self.warmup > 0 and self.stage.tallies[COMPLETED]
+                    == self.warmup):
+                # Steady-state window: drop the cold-start
+                # transient from the serving histograms.
+                for hist in list(metrics.histograms()):
+                    if hist.name.startswith("serve."):
+                        hist.reset()
+        self.resolve(req)

@@ -5,10 +5,9 @@ A batch campaign is judged on throughput; a service is judged on a
 and on *goodput*, the rate of requests that actually met it.  A
 :class:`ServeResult` holds every request's full journey (queue wait,
 batch wait, service time) plus the terminal accounting, and enforces
-the same constructor invariant as
-:class:`~repro.ncsw.pipeline.PipelineResult`: every offered request
-resolves exactly once — completed, shed, rejected, timed out, or
-abandoned to a device failure.
+in its constructor that every offered request resolves exactly once —
+completed, shed, rejected, timed out, or abandoned to a device
+failure.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ class ServeResult:
     warmup: int = 0
 
     def __post_init__(self) -> None:
-        # Mirror PipelineResult: every offered request is accounted
-        # for exactly once.
+        # Every offered request is accounted for exactly once.
         accounted = (self.completed + self.shed + self.rejected
                      + self.timed_out + self.abandoned)
         if accounted != self.offered:

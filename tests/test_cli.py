@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import argparse
+
 import pytest
 
 from repro.errors import ConfigError
@@ -11,6 +13,18 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in ("fig6a", "fig7b", "headline", "report", "profile"):
         assert name in out
+
+
+def test_list_prints_every_subcommand_but_itself(capsys):
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert [line.split()[0] for line in lines] == \
+        [name for name in sub.choices if name != "list"]
+    for line in lines:  # every command shows its help string
+        name, text = line.split(maxsplit=1)
+        assert text == sub.choices[name].description
 
 
 def test_parser_rejects_unknown():

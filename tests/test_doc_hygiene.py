@@ -68,4 +68,4 @@ def test_every_module_is_covered():
     # failures hiding modules from the hygiene check).
     assert len(MODULES) > 50
     assert "repro.vpu.myriad2" in MODULES
-    assert "repro.ncsw.pipeline" in MODULES
+    assert "repro.serve.stage" in MODULES
